@@ -18,11 +18,11 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Basis, DensityMatrix, ValidationError
+from .core import Basis, DensityMatrix, ValidationError, elementwise
 from .evolve import CavityGeometry, SQRT_PI
 from .models import (
     DecayRates, OpenCavity, PhysicalParams, build_liouvillian,
-    dressed_hamiltonian, unvec, vec,
+    dressed_hamiltonian, vec,
 )
 
 _DRESSED_INITIAL = np.array([
@@ -41,6 +41,25 @@ def initial_excited_state(basis: Basis) -> DensityMatrix:
     raise ValidationError("initial state defined for 3-level bases only")
 
 
+def _time_grid(t) -> np.ndarray:
+    """``t`` (a scalar or a 1-D array) as a 1-D float array."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if ts.ndim != 1:
+        raise ValidationError("t must be a scalar or a 1-D array")
+    return ts
+
+
+def _state(diag: np.ndarray, m01: np.ndarray, m10: np.ndarray, basis: Basis, t,
+           note: str | None = None) -> DensityMatrix:
+    """Strictly validated states with diagonals ``diag`` (N, 3) and the given
+    (0, 1) and (1, 0) entries: one matrix for a scalar ``t``, else the stack."""
+    m = np.zeros((len(diag), 3, 3), dtype=complex)
+    m[:, [0, 1, 2], [0, 1, 2]] = diag
+    m[:, 0, 1] = m01
+    m[:, 1, 0] = m10
+    return DensityMatrix(m[0] if np.ndim(t) == 0 else m, basis, note).validate()
+
+
 # ---------------------------------------------------------------------------
 # Photon-loss model at T = 0
 # ---------------------------------------------------------------------------
@@ -53,50 +72,51 @@ def _sinhc(z: complex) -> complex:
     return cmath.sinh(z) / z
 
 
-def phenom_T0_rho(g: float, gamma: float, t: float) -> DensityMatrix:
+def phenom_T0_rho(g: float, gamma: float, t) -> DensityMatrix:
     """State of the T = 0 photon-loss model started from |e,0><e,0|.
 
+    ``t`` is a time or a 1-D array of times (one state per time, stacked).
     A single complex expression covers both branches: under strong coupling
     (16 g^2 > gamma^2) the square root is imaginary and the populations
     oscillate; otherwise the evolution is overdamped and the returned state is
     tagged ``"hyperbolic"``.
     """
-    if g <= 0 or gamma < 0 or t < 0:
+    ts = _time_grid(t)
+    if g <= 0 or gamma < 0 or np.any(ts < 0):
         raise ValidationError("need g > 0, gamma >= 0, t >= 0")
     d2 = gamma * gamma - 16.0 * g * g
     if d2 == 0.0:
         raise ValidationError("critically damped point gamma = 4g is not supported")
     delta = cmath.sqrt(complex(d2))
-    x = delta * t / 2.0
-    decay = math.exp(-gamma * t / 2.0)
-    # decay * cosh(x) and decay * sinh(x)/delta; the exponent combinations
-    # never overflow (delta < gamma on the hyperbolic branch).
-    ep = cmath.exp(x - gamma * t / 2.0)
-    em = cmath.exp(-x - gamma * t / 2.0)
-    dch = 0.5 * (ep + em)
-    if abs(x) < 1e-4:
-        dsh = decay * (t / 2.0) * _sinhc(x)
-    else:
-        dsh = 0.5 * (ep - em) / delta
-
     gg = g * g
-    r11 = -8.0 * gg / d2 * decay + gamma * dsh + (gamma * gamma - 8.0 * gg) / d2 * dch
-    r22 = 8.0 * gg / d2 * (dch - decay)
-    r33 = 1.0 + (16.0 * gg / d2 * decay
-                 - gamma ** 3 / d2 * dsh
-                 - gamma * gamma / d2 * dch
-                 + 16.0 * gg * gamma / d2 * dsh)
-    r12 = 1j * (-2.0 * g * gamma / d2 * decay + 2.0 * g * dsh
-                + 2.0 * gamma * g / d2 * dch)
 
-    m = np.zeros((3, 3), dtype=complex)
-    m[0, 0] = r11.real
-    m[1, 1] = r22.real
-    m[2, 2] = r33.real
-    m[0, 1] = 1j * r12.imag
-    m[1, 0] = -m[0, 1]
-    note = "hyperbolic" if d2 > 0 else None
-    return DensityMatrix(m, Basis.BARE, note).validate()
+    def entries(t: float) -> tuple[float, float, float, float]:
+        # Python complex arithmetic per point: numpy's complex multiply and
+        # divide round differently in the last bit.
+        x = delta * t / 2.0
+        decay = math.exp(-gamma * t / 2.0)
+        # decay * cosh(x) and decay * sinh(x)/delta; the exponent combinations
+        # never overflow (delta < gamma on the hyperbolic branch).
+        ep = cmath.exp(x - gamma * t / 2.0)
+        em = cmath.exp(-x - gamma * t / 2.0)
+        dch = 0.5 * (ep + em)
+        if abs(x) < 1e-4:
+            dsh = decay * (t / 2.0) * _sinhc(x)
+        else:
+            dsh = 0.5 * (ep - em) / delta
+        r11 = -8.0 * gg / d2 * decay + gamma * dsh + (gamma * gamma - 8.0 * gg) / d2 * dch
+        r22 = 8.0 * gg / d2 * (dch - decay)
+        r33 = 1.0 + (16.0 * gg / d2 * decay
+                     - gamma ** 3 / d2 * dsh
+                     - gamma * gamma / d2 * dch
+                     + 16.0 * gg * gamma / d2 * dsh)
+        r12 = 1j * (-2.0 * g * gamma / d2 * decay + 2.0 * g * dsh
+                    + 2.0 * gamma * g / d2 * dch)
+        return r11.real, r22.real, r33.real, r12.imag
+
+    r = elementwise(entries, ts).reshape(-1, 4)
+    m01 = 1j * r[:, 3]
+    return _state(r[:, :3], m01, -m01, Basis.BARE, t, "hyperbolic" if d2 > 0 else None)
 
 
 def phenom_T0_probs(g: float, gamma: float, t: float) -> tuple[float, float, float]:
@@ -109,20 +129,20 @@ def phenom_T0_probs(g: float, gamma: float, t: float) -> tuple[float, float, flo
 # Dressed-state decay model (closed cavity)
 # ---------------------------------------------------------------------------
 
-def microscopic_rho(g: float, gamma1: float, gamma2: float, t: float) -> DensityMatrix:
-    """Dressed-basis state of the closed-cavity dressed-decay model."""
-    if gamma1 < 0 or gamma2 < 0 or t < 0:
+def microscopic_rho(g: float, gamma1: float, gamma2: float, t) -> DensityMatrix:
+    """Dressed-basis state of the closed-cavity dressed-decay model.
+
+    ``t`` is a time or a 1-D array of times (one state per time, stacked).
+    """
+    ts = _time_grid(t)
+    if gamma1 < 0 or gamma2 < 0 or np.any(ts < 0):
         raise ValidationError("rates and t must be >= 0")
-    e1 = math.exp(-gamma1 * t / 2.0)
-    e2 = math.exp(-gamma2 * t / 2.0)
-    coh = -0.5 * math.exp(-(gamma1 + gamma2) * t / 4.0)
-    m = np.zeros((3, 3), dtype=complex)
-    m[0, 0] = 0.5 * e1
-    m[1, 1] = 0.5 * e2
-    m[2, 2] = 1.0 - 0.5 * e1 - 0.5 * e2
-    m[0, 1] = coh * cmath.exp(-2j * g * t)
-    m[1, 0] = coh * cmath.exp(2j * g * t)
-    return DensityMatrix(m, Basis.DRESSED).validate()
+    e1 = elementwise(math.exp, -gamma1 * ts / 2.0)
+    e2 = elementwise(math.exp, -gamma2 * ts / 2.0)
+    coh = -0.5 * elementwise(math.exp, -(gamma1 + gamma2) * ts / 4.0)
+    diag = np.column_stack([0.5 * e1, 0.5 * e2, 1.0 - 0.5 * e1 - 0.5 * e2])
+    return _state(diag, coh * np.exp(-2j * g * ts), coh * np.exp(2j * g * ts),
+                  Basis.DRESSED, t)
 
 
 def microscopic_pg(g: float, gamma1: float, gamma2: float, t) -> float | np.ndarray:
@@ -252,6 +272,11 @@ def initial_decomposition(rates: DecayRates, eps: float) -> InitialDecomposition
     denominators vanishes; the singularities are removable but unresolved, so
     callers must fall back to numeric propagation.
     """
+    return _decompose(rates, eps)[1]
+
+
+def _decompose(rates: DecayRates, eps: float) -> tuple[DampingBasis, InitialDecomposition]:
+    """The damping basis and the initial-state coefficients over it."""
     _check_simplified(rates, eps)
     g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
     basis = damping_basis(rates)
@@ -273,7 +298,7 @@ def initial_decomposition(rates: DecayRates, eps: float) -> InitialDecomposition
     a1 = 1.0 / ((2.0 * eps + 1.0) * d)
     a2 = 0.5 * (n - s * (g1 + 2.0 * g3)) / denom
     a3 = -0.5 * (n + s * (g1 + 2.0 * g3)) / denom
-    return InitialDecomposition(a1, a2, a3)
+    return basis, InitialDecomposition(a1, a2, a3)
 
 
 def _phase_coupling(params: PhysicalParams, geometry: CavityGeometry | None) -> float:
@@ -282,13 +307,14 @@ def _phase_coupling(params: PhysicalParams, geometry: CavityGeometry | None) -> 
     return params.g * SQRT_PI * geometry.waist / geometry.diameter
 
 
-def _fallback_rho(rates: DecayRates, params: PhysicalParams, t: float,
+def _fallback_rho(rates: DecayRates, params: PhysicalParams, t,
                   geometry: CavityGeometry | None) -> DensityMatrix:
     """Numeric eigen-propagation of the 9x9 generator (degenerate inputs).
 
-    For the Gaussian profile the coupling enters the generator only through
-    the off-diagonal phases, so propagating with the effective coupling
-    reproduces the profile-averaged state.
+    One eigendecomposition serves every time in ``t``.  For the Gaussian
+    profile the coupling enters the generator only through the off-diagonal
+    phases, so propagating with the effective coupling reproduces the
+    profile-averaged state.
     """
     from dataclasses import replace
     p = params if geometry is None else replace(params, g=_phase_coupling(params, geometry))
@@ -296,38 +322,40 @@ def _fallback_rho(rates: DecayRates, params: PhysicalParams, t: float,
     lam, vmat = np.linalg.eig(liou.matrix)
     v0 = vec(initial_excited_state(Basis.DRESSED).matrix)
     w = np.linalg.solve(vmat, v0)
-    m = unvec(vmat @ (np.exp(lam * t) * w))
-    m = 0.5 * (m + m.conj().T)
-    return DensityMatrix(m, Basis.DRESSED, "fallback")
+    ts = _time_grid(t)
+    # A stacked matrix-vector product, which rounds exactly as one product per time.
+    v = np.matmul(vmat, (np.exp(ts[:, None] * lam) * w)[:, :, None])
+    m = np.swapaxes(v.reshape(-1, 3, 3), 1, 2)     # unvec of each column-stacked state
+    m = 0.5 * (m + np.swapaxes(m.conj(), 1, 2))
+    return DensityMatrix(m[0] if np.ndim(t) == 0 else m, Basis.DRESSED, "fallback")
 
 
 def opencavity_rho(rates: DecayRates, eps: float, params: PhysicalParams,
-                   t: float, geometry: CavityGeometry | None = None) -> DensityMatrix:
+                   t, geometry: CavityGeometry | None = None) -> DensityMatrix:
     """Open-cavity state at time t, started from |e,0><e,0| (dressed basis).
 
+    ``t`` is a time or a 1-D array of times (one state per time, stacked).
     ``geometry`` switches the coupling phase to the Gaussian-profile
     effective value; the decay exponents are unaffected.  Degenerate inputs
     return the numeric fallback, tagged ``"fallback"``.
     """
-    if t < 0:
+    ts = _time_grid(t)
+    if np.any(ts < 0):
         raise ValidationError("t must be >= 0")
-    _check_simplified(rates, eps)
     try:
-        coeffs = initial_decomposition(rates, eps)
+        basis, coeffs = _decompose(rates, eps)
     except DegenerateModelError:
         return _fallback_rho(rates, params, t, geometry)
-    basis = damping_basis(rates)
     g_phase = _phase_coupling(params, geometry)
     lam2, lam3 = basis.eigenvalues[1].real, basis.eigenvalues[2].real
     decay4 = (rates.gamma1 + rates.gamma2 + rates.gamma3 + rates.gamma_c) / 4.0
-    m = (coeffs.a1 * basis.operators[0]
-         + coeffs.a2 * math.exp(lam2 * t) * basis.operators[1]
-         + coeffs.a3 * math.exp(lam3 * t) * basis.operators[2])
-    coh = -0.5 * math.exp(-decay4 * t)
-    m = m.astype(complex)
-    m[0, 1] = coh * cmath.exp(-2j * g_phase * t)
-    m[1, 0] = coh * cmath.exp(2j * g_phase * t)
-    return DensityMatrix(m, Basis.DRESSED).validate()
+    c2 = coeffs.a2 * elementwise(math.exp, lam2 * ts)
+    c3 = coeffs.a3 * elementwise(math.exp, lam3 * ts)
+    rho1, rho2, rho3 = basis.components     # diagonals of the population eigenoperators
+    diag = coeffs.a1 * rho1 + c2[:, None] * rho2 + c3[:, None] * rho3
+    coh = -0.5 * elementwise(math.exp, -decay4 * ts)
+    return _state(diag, coh * np.exp(-2j * g_phase * ts), coh * np.exp(2j * g_phase * ts),
+                  Basis.DRESSED, t)
 
 
 def opencavity_pg(rates: DecayRates, eps: float, params: PhysicalParams,
@@ -345,8 +373,7 @@ def opencavity_pg(rates: DecayRates, eps: float, params: PhysicalParams,
         raise ValidationError("t must be >= 0")
     if basis.degenerate:
         from .models import ground_state_probability
-        out = np.array([ground_state_probability(_fallback_rho(rates, params, tv, geometry))
-                        for tv in ts])
+        out = ground_state_probability(_fallback_rho(rates, params, ts, geometry))
         return float(out[0]) if scalar else out
     g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
     s = basis.s_value.real
@@ -378,8 +405,8 @@ def energy_mean(rates: DecayRates, eps: float, params: PhysicalParams, t):
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if basis.degenerate:
         h = np.diag(dressed_hamiltonian(params)).real
-        out = np.array([float(np.real(np.trace(np.diag(h) @ _fallback_rho(rates, params, tv, None).matrix)))
-                        for tv in ts])
+        rho = _fallback_rho(rates, params, ts, None).matrix
+        out = np.real(np.trace(np.diag(h) @ rho, axis1=1, axis2=2))
         return float(out[0]) if scalar else out
     g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
     s = basis.s_value.real

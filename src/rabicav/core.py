@@ -60,13 +60,32 @@ def as_square_matrix(matrix: np.ndarray, dims: tuple[int, ...] = ALLOWED_DIMS) -
     return m
 
 
-def hermiticity_defect(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(matrix - matrix.conj().T)))
+def hermiticity_defect(matrix: np.ndarray):
+    """Largest entry of |m - m^H|: a float, or one value per matrix of a stack."""
+    d = np.abs(matrix - np.swapaxes(matrix.conj(), -1, -2)).max(axis=(-2, -1))
+    return float(d) if d.ndim == 0 else d
+
+
+def elementwise(fn, *arrays) -> np.ndarray:
+    """``fn`` applied to matching elements of 1-D arrays, as a float array.
+
+    numpy's vectorised exp, hypot, complex abs and complex arithmetic may
+    round the last bit differently from the ``math``/``cmath`` scalar
+    functions; state producers evaluate those pieces through this helper so
+    an array call reproduces its scalar calls bit for bit.  ``fn`` may return
+    a tuple, giving one column per entry.
+    """
+    return np.array(list(map(fn, *(np.asarray(a).tolist() for a in arrays))), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Small Hermitian, trace-one, positive matrix tagged with its basis.
+
+    ``matrix`` is one ``(d, d)`` matrix or a ``(N, d, d)`` stack of them, e.g.
+    a state at every point of a time grid; the basis and note apply to every
+    member.  For a stack the defect properties hold one value per member and
+    a failed check names the first failing index.
 
     ``note`` is a diagnostic tag set by producers (e.g. ``"hyperbolic"`` for
     the overdamped analytic continuation, ``"fallback"`` for numeric
@@ -80,49 +99,60 @@ class DensityMatrix:
     matrix: np.ndarray
     basis: Basis
     note: str | None = None
-    _min_eig: float = field(init=False, repr=False, default=0.0)
+    _min_eig: float | np.ndarray = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self):
-        m = as_square_matrix(self.matrix, dims=(3, 4))
-        if m.shape[0] != self.basis.dim:
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
             raise ValidationError(
-                f"dimension {m.shape[0]} inconsistent with basis {self.basis}")
+                f"expected a square matrix or a stack of them, got shape {m.shape}")
+        if m.shape[-1] != self.basis.dim:
+            raise ValidationError(
+                f"dimension {m.shape[-1]} inconsistent with basis {self.basis}")
         object.__setattr__(self, "matrix", m)
         self.validate(trace_tol=TRAJECTORY_TOL, herm_tol=TRAJECTORY_TOL,
                       eig_tol=TRAJECTORY_TOL)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @property
-    def trace_defect(self) -> float:
-        return abs(complex(np.trace(self.matrix)) - 1.0)
+    def trace_defect(self):
+        d = np.abs(np.trace(self.matrix, axis1=-2, axis2=-1) - 1.0)
+        return float(d) if d.ndim == 0 else d
 
     @property
-    def hermiticity_defect(self) -> float:
+    def hermiticity_defect(self):
         return hermiticity_defect(self.matrix)
 
     @property
-    def min_eigenvalue(self) -> float:
+    def min_eigenvalue(self):
         return self._min_eig
 
     def validate(self, trace_tol: float = STRICT_TRACE_TOL,
                  herm_tol: float = STRICT_HERM_TOL,
                  eig_tol: float = STRICT_EIG_TOL) -> "DensityMatrix":
-        if self.trace_defect > trace_tol:
-            raise ValidationError(f"trace defect {self.trace_defect:.3e} > {trace_tol:.0e}")
-        if self.hermiticity_defect > herm_tol:
-            raise ValidationError(
-                f"hermiticity defect {self.hermiticity_defect:.3e} > {herm_tol:.0e}")
-        w = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))
-        object.__setattr__(self, "_min_eig", float(w[0]))
-        if w[0] < -eig_tol:
-            raise ValidationError(f"minimum eigenvalue {w[0]:.3e} < -{eig_tol:.0e}")
+        stack = self.matrix.reshape(-1, self.dim, self.dim)
+        where = "state {}: " if self.matrix.ndim == 3 else ""
+        if not np.isfinite(stack).all():
+            i = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
+            raise ValidationError(where.format(i) + "matrix entries must be finite")
+        trace = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+        herm = hermiticity_defect(stack)
+        w = np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack.conj(), 1, 2)))[:, 0]
+        object.__setattr__(self, "_min_eig", float(w[0]) if self.matrix.ndim == 2 else w)
+        failed = (trace > trace_tol) | (herm > herm_tol) | (w < -eig_tol)
+        if failed.any():
+            i = int(np.argmax(failed))
+            if trace[i] > trace_tol:
+                problem = f"trace defect {trace[i]:.3e} > {trace_tol:.0e}"
+            elif herm[i] > herm_tol:
+                problem = f"hermiticity defect {herm[i]:.3e} > {herm_tol:.0e}"
+            else:
+                problem = f"minimum eigenvalue {w[i]:.3e} < -{eig_tol:.0e}"
+            raise ValidationError(where.format(i) + problem)
         return self
-
-    def with_note(self, note: str | None) -> "DensityMatrix":
-        return DensityMatrix(self.matrix, self.basis, note)
 
 
 def hermitian_eigen(matrix: np.ndarray, tol: float = VALIDATION_TOL):

@@ -13,28 +13,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, DensityMatrix, ValidationError, hermitian_eigen, partial_transpose
+from .core import (
+    Basis, DensityMatrix, ValidationError, elementwise, hermitian_eigen, partial_transpose,
+)
 from .closed_form import opencavity_rho
 from .evolve import CavityGeometry
 from .models import DecayRates, PhysicalParams, dressed_transform
 
-_SPARSE_PATTERN = {(1, 1), (2, 2), (3, 3), (1, 2), (2, 1)}
+# Entries a 3-level state embedded by :func:`embed4` may fill.
+_SPARSE_PATTERN = np.zeros((4, 4), dtype=bool)
+_SPARSE_PATTERN[[1, 2, 3, 1, 2], [1, 2, 3, 2, 1]] = True
 
 
 def embed4(rho3: DensityMatrix) -> DensityMatrix:
-    """Embed a 3-level bare state into the 4-level product space.
+    """Embed a 3-level bare state (or stack) into the 4-level product space.
 
     The |e,1> row and column are zero; the trace is preserved exactly.
     """
     if rho3.basis is not Basis.BARE:
         raise ValidationError("embed4 expects a 3-level state in the BARE basis")
-    m = np.zeros((4, 4), dtype=complex)
-    m[1:, 1:] = rho3.matrix
+    m = np.zeros(rho3.matrix.shape[:-2] + (4, 4), dtype=complex)
+    m[..., 1:, 1:] = rho3.matrix
     return DensityMatrix(m, Basis.BARE4, rho3.note)
 
 
-def ppt_spectrum(rho4: DensityMatrix) -> tuple[float, float, float, float]:
-    """Eigenvalues of the partially transposed 4x4 state.
+def ppt_spectrum(rho4: DensityMatrix) -> np.ndarray:
+    """Eigenvalues of the partially transposed 4x4 state, shape ``(..., 4)``.
 
     For states with the embedded sparsity pattern (only the |e,0>/|g,1>
     block and the |g,0> population filled) the spectrum is known in closed
@@ -42,19 +46,20 @@ def ppt_spectrum(rho4: DensityMatrix) -> tuple[float, float, float, float]:
     +/- pair built from the |g,0> population and the coherence magnitude;
     the last entry is always <= 0 and vanishes iff the coherence does.
     Inputs without the pattern fall back to a full numeric eigensolve of the
-    partial transpose (eigenvalues returned descending).
+    partial transpose (eigenvalues returned descending).  A stack gives one
+    row per member.
     """
-    m = rho4.matrix
-    scale = max(1.0, float(np.max(np.abs(m))))
-    sparse = all((i, j) in _SPARSE_PATTERN or abs(m[i, j]) <= 1e-12 * scale
-                 for i in range(4) for j in range(4))
-    if not sparse:
-        w, _ = hermitian_eigen(partial_transpose(rho4))
-        return tuple(float(x) for x in w)
-    p00 = m[3, 3].real
-    root = math.hypot(p00, 2.0 * abs(m[1, 2]))
-    return (float(m[2, 2].real), float(m[1, 1].real),
-            0.5 * (p00 + root), 0.5 * (p00 - root))
+    m = rho4.matrix.reshape(-1, 4, 4)
+    magnitude = np.abs(m)
+    scale = np.maximum(1.0, magnitude.max(axis=(1, 2)))
+    sparse = magnitude[:, ~_SPARSE_PATTERN].max(axis=1) <= 1e-12 * scale
+    p00 = m[:, 3, 3].real
+    root = elementwise(lambda p, c: math.hypot(p, 2.0 * abs(c)), p00, m[:, 1, 2])
+    spec = np.stack([m[:, 2, 2].real, m[:, 1, 1].real,
+                     0.5 * (p00 + root), 0.5 * (p00 - root)], axis=-1)
+    for i in np.flatnonzero(~sparse):
+        spec[i], _ = hermitian_eigen(partial_transpose(m[i]))
+    return spec.reshape(rho4.matrix.shape[:-2] + (4,))
 
 
 @dataclass(frozen=True)

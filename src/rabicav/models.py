@@ -210,7 +210,7 @@ def dressed_state_matrix() -> np.ndarray:
 
 
 def dressed_transform(rho: DensityMatrix, target: Basis) -> DensityMatrix:
-    """Unitary change of basis between BARE and DRESSED for 3x3 states."""
+    """Unitary change of basis between BARE and DRESSED for 3x3 states or stacks."""
     if target not in (Basis.BARE, Basis.DRESSED):
         raise ValidationError("target basis must be BARE or DRESSED")
     if rho.basis is target:
@@ -307,12 +307,17 @@ def build_liouvillian(kind: ModelKind, params: PhysicalParams) -> Liouvillian:
     raise ValidationError(f"unknown model kind {kind!r}")
 
 
-def ground_state_probability(rho: DensityMatrix) -> float:
-    """Probability of finding the atom in |g>, in either 3-level basis."""
+def ground_state_probability(rho: DensityMatrix):
+    """Probability of finding the atom in |g>, in either 3-level basis.
+
+    A float for one state, an array with one value per member of a stack.
+    """
     m = rho.matrix
     if rho.basis is Basis.BARE:
-        return float(1.0 - m[0, 0].real)
-    if rho.basis is Basis.DRESSED:
+        p = 1.0 - m[..., 0, 0].real
+    elif rho.basis is Basis.DRESSED:
         # <e,0|rho|e,0> = (r++ + r-- - r+- - r-+)/2
-        return float(1.0 - 0.5 * (m[0, 0].real + m[1, 1].real) + m[0, 1].real)
-    raise ValidationError("ground_state_probability expects a 3-level state")
+        p = 1.0 - 0.5 * (m[..., 0, 0].real + m[..., 1, 1].real) + m[..., 0, 1].real
+    else:
+        raise ValidationError("ground_state_probability expects a 3-level state")
+    return float(p) if m.ndim == 2 else p

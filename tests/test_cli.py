@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rabicav import closed_form as cf
-from rabicav import cli, dephase, evolve, fitting, models
+from rabicav import cli, dephase, entangle, evolve, fitting, models
 
 
 def run_cli(*argv):
@@ -116,6 +116,37 @@ def test_sweep_orders_rows(tmp_path):
 def test_bad_sweep_is_usage_error(tmp_path):
     assert run_cli("simulate", "--sweep", "nonsense",
                    "-o", str(tmp_path / "x.csv")) == cli.EXIT_USAGE
+
+
+def test_empty_sweep_is_usage_error(tmp_path):
+    assert run_cli("simulate", "--sweep", "gamma3=1000:3000:0",
+                   "-o", str(tmp_path / "x.csv")) == cli.EXIT_USAGE
+
+
+def test_sweep_equals_per_value_runs_in_order(tmp_path):
+    grid = ("--end-us", "20", "--step-us", "2", "--profile", "gaussian")
+    out = tmp_path / "sweep.csv"
+    assert run_cli("simulate", *grid, "--sweep", "gamma3=1000:3000:3", "-o", str(out)) == 0
+    lines = out.read_text().splitlines()
+    expected = []
+    for value in np.linspace(1000.0, 3000.0, 3):
+        one = tmp_path / "one.csv"
+        assert run_cli("simulate", *grid, "--gamma3", repr(float(value)), "-o", str(one)) == 0
+        header, *body = one.read_text().splitlines()
+        expected += [f"{float(value)!r},{line}" for line in body]
+    assert lines == ["sweep_gamma3," + header] + expected
+
+
+def test_entangle_coherence_columns_match_coherence_e0_g1(tmp_path, params, paper_rates,
+                                                          geometry):
+    out = tmp_path / "ent.csv"
+    assert run_cli("entangle", "--profile", "gaussian", "--end-us", "60", "--step-us", "0.5",
+                   "-o", str(out)) == 0
+    _, rows = read_csv(out)
+    for row in rows[::13]:
+        coh = entangle.coherence_e0_g1(paper_rates, 0.0466, params, row[0] * 1e-6,
+                                       geometry=geometry)
+        assert (row[5], row[6]) == (coh.value.real, coh.value.imag)
 
 
 def test_config_file_and_overrides(tmp_path, params):

@@ -357,3 +357,62 @@ def test_thermal_weights_truncation():
     raw = (0.05 / 1.05) ** np.arange(len(w)) / 1.05
     assert raw.sum() >= 1.0 - 1e-9
     assert cf.thermal_weights(0.0).tolist() == [1.0]
+
+
+# ---------------------------------------------------------------------------
+# batched states: an array of times gives the stack of the scalar calls
+# ---------------------------------------------------------------------------
+
+# t = 0, times small enough for the sinh(x)/x series branch, and a grid
+_TIMES = np.concatenate([[0.0, 1e-12, 1e-10], np.linspace(1e-7, 300e-6, 157)])
+_DEGENERATE = models.DecayRates.simplified(1000.0, 1000.0, 46.6, 0.0466)
+
+
+def _assert_stack_of_scalar_calls(producer):
+    batched = producer(_TIMES)
+    singles = [producer(t) for t in _TIMES]
+    assert batched.matrix.shape == (len(_TIMES), 3, 3)
+    assert batched.basis is singles[0].basis and batched.note == singles[0].note
+    # bit for bit, signed zeros included
+    assert batched.matrix.tobytes() == np.stack([s.matrix for s in singles]).tobytes()
+    return batched
+
+
+@pytest.mark.parametrize("gamma_over_g, note", [(0.3, None), (5.0, "hyperbolic")])
+def test_phenom_T0_rho_array_equals_scalar_calls(params, gamma_over_g, note):
+    gamma = gamma_over_g * params.g
+    rho = _assert_stack_of_scalar_calls(lambda t: cf.phenom_T0_rho(params.g, gamma, t))
+    assert rho.note == note
+
+
+@pytest.mark.parametrize("g_scale", [1.0, 0.21])
+def test_microscopic_rho_array_equals_scalar_calls(params, g_scale):
+    _assert_stack_of_scalar_calls(
+        lambda t: cf.microscopic_rho(params.g * g_scale, 300.0, 17.73, t))
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_opencavity_rho_array_equals_scalar_calls(params, paper_rates, geometry,
+                                                  gaussian, degenerate):
+    rates = _DEGENERATE if degenerate else paper_rates
+    geom = geometry if gaussian else None
+    rho = _assert_stack_of_scalar_calls(
+        lambda t: cf.opencavity_rho(rates, 0.0466, params, t, geometry=geom))
+    assert rho.note == ("fallback" if degenerate else None)
+
+
+def test_degenerate_curves_array_equals_scalar_calls(params, geometry):
+    for curve in (lambda t: cf.opencavity_pg(_DEGENERATE, 0.0466, params, t, geometry=geometry),
+                  lambda t: cf.energy_mean(_DEGENERATE, 0.0466, params, t)):
+        batched = curve(_TIMES)
+        assert batched.tobytes() == np.array([curve(t) for t in _TIMES]).tobytes()
+
+
+def test_batched_producers_validate_times(params, paper_rates):
+    with pytest.raises(ValidationError):
+        cf.opencavity_rho(paper_rates, 0.0466, params, np.array([1e-6, -1e-6]))
+    with pytest.raises(ValidationError):
+        cf.microscopic_rho(params.g, 1.0, 1.0, np.zeros((2, 2)))
+    with pytest.raises(ValidationError):
+        cf.phenom_T0_rho(params.g, 1.0, np.array([0.0, -1.0]))

@@ -107,3 +107,45 @@ def test_density_matrix_validation():
 def test_density_matrix_basis_dimension_mismatch():
     with pytest.raises(ValidationError):
         DensityMatrix(np.eye(4, dtype=complex) / 4.0, Basis.BARE)
+
+
+def _good_stack(n=5):
+    m = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    m[0, 1], m[1, 0] = 0.1j, -0.1j
+    return np.stack([m] * n)
+
+
+def test_density_matrix_stack_reports_per_member_defects():
+    stack = _good_stack()
+    stack[2] = np.diag([1.0, 0.0, 0.0])
+    rho = DensityMatrix(stack, Basis.BARE)
+    assert rho.dim == 3 and rho.matrix.shape == (5, 3, 3)
+    assert rho.trace_defect.shape == (5,) and np.all(rho.trace_defect <= 1e-15)
+    assert rho.min_eigenvalue.shape == (5,)
+    assert rho.min_eigenvalue[2] == pytest.approx(0.0, abs=1e-15)
+    assert rho.min_eigenvalue[0] == pytest.approx(
+        DensityMatrix(stack[0], Basis.BARE).min_eigenvalue, abs=1e-15)
+
+
+_NOT_HERMITIAN = np.diag([0.5, 0.3, 0.2]).astype(complex)
+_NOT_HERMITIAN[0, 2] = 0.1
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.diag([0.6, 0.3, 0.2]), "trace defect"),
+    (_NOT_HERMITIAN, "hermiticity defect"),
+    (np.diag([1.1, -0.1, 0.0]), "minimum eigenvalue"),
+    (np.diag([np.nan, 0.5, 0.5]), "matrix entries must be finite"),
+])
+def test_density_matrix_stack_names_first_bad_index(bad, message):
+    stack = _good_stack()
+    stack[3] = stack[4] = bad
+    with pytest.raises(ValidationError, match=rf"^state 3: {message}"):
+        DensityMatrix(stack, Basis.BARE)
+
+
+def test_density_matrix_rejects_bad_stack_shapes():
+    with pytest.raises(ValidationError):
+        DensityMatrix(np.zeros((2, 2, 3, 3), dtype=complex), Basis.BARE)
+    with pytest.raises(ValidationError):
+        DensityMatrix(np.zeros((2, 3, 4), dtype=complex), Basis.BARE)

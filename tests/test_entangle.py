@@ -141,3 +141,32 @@ def test_coherence_gaussian_profile_phase(params, paper_rates, geometry):
     gamma4 = (paper_rates.gamma1 + paper_rates.gamma2 + 2 * paper_rates.gamma3) / 4.0
     assert res.value.imag == pytest.approx(
         0.5 * math.exp(-gamma4 * t) * math.sin(2 * g_eff * t), rel=1e-9)
+
+
+def test_stacked_helpers_equal_per_member_calls(params, paper_rates, geometry):
+    ts = np.linspace(0.0, 80e-6, 41)
+    rho_d = cf.opencavity_rho(paper_rates, 0.0466, params, ts, geometry=geometry)
+    rho_b = models.dressed_transform(rho_d, Basis.BARE)
+    spec = entangle.ppt_spectrum(entangle.embed4(rho_b))
+    assert spec.shape == (len(ts), 4)
+    for i, t in enumerate(ts):
+        one_d = cf.opencavity_rho(paper_rates, 0.0466, params, t, geometry=geometry)
+        one_b = models.dressed_transform(one_d, Basis.BARE)
+        assert rho_b.matrix[i].tobytes() == one_b.matrix.tobytes()
+        assert spec[i].tobytes() == entangle.ppt_spectrum(entangle.embed4(one_b)).tobytes()
+        assert models.ground_state_probability(rho_d)[i] == models.ground_state_probability(one_d)
+        assert models.ground_state_probability(rho_b)[i] == models.ground_state_probability(one_b)
+
+
+def test_ppt_stack_with_a_dense_member():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    dense = a @ a.conj().T
+    dense /= np.trace(dense).real
+    sparse = np.diag([0.0, 0.5, 0.2, 0.3]).astype(complex)
+    sparse[1, 2], sparse[2, 1] = 0.1j, -0.1j
+    spec = entangle.ppt_spectrum(DensityMatrix(np.stack([sparse, dense]), Basis.BARE4))
+    for row, m in zip(spec, (sparse, dense)):
+        assert row.tobytes() == entangle.ppt_spectrum(DensityMatrix(m, Basis.BARE4)).tobytes()
+    brute, _ = hermitian_eigen(partial_transpose(dense))
+    assert np.allclose(spec[1], brute, atol=1e-12)
