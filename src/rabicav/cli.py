@@ -266,11 +266,9 @@ def _simulate_rows(config: dict) -> tuple[list[str], np.ndarray]:
 
     pg = models.ground_state_probability(rho)
     if delta_t > 0.0:
-        rates = kind.rates
-        geom_conv = geom if geom is not None else _geometry(config)
-        if config["profile"] != "gaussian":
+        if geom is None:
             raise ValidationError("time-uncertainty averaging uses the gaussian profile")
-        pg_conv = dephase.convolve_pg(rates, float(config["eps"]), params, geom_conv,
+        pg_conv = dephase.convolve_pg(kind.rates, float(config["eps"]), params, geom,
                                       delta_t, ts)
     else:
         pg_conv = pg
@@ -299,8 +297,7 @@ def _energy_rows(config: dict) -> tuple[list[str], np.ndarray]:
     ts_us = _grid_us(config)
     ts = ts_us * 1e-6
     omega = cf.energy_mean(rates, eps, params, ts)
-    conv = (dephase.convolve_energy(rates, eps, params, delta_t, ts)
-            if delta_t > 0.0 else omega)
+    conv = dephase.convolve_energy(rates, eps, params, delta_t, ts)
     return ["t_us", "omega_bar", "omega_bar_convolved"], np.column_stack([ts_us, omega, conv])
 
 
@@ -364,12 +361,8 @@ def cmd_fit_rabi(args) -> int:
             full["gamma2"] = full["gamma1"]
         rates = models.DecayRates.simplified(full["gamma1"], full["gamma2"],
                                              full["gamma3"], float(config["eps"]))
-        if full["delta_t"] > 0:
-            fit_curve = dephase.convolve_pg(rates, float(config["eps"]), params, geom,
-                                            full["delta_t"], t_true)
-        else:
-            fit_curve = cf.opencavity_pg(rates, float(config["eps"]), params, t_true,
-                                         geometry=geom)
+        fit_curve = dephase.convolve_pg(rates, float(config["eps"]), params, geom,
+                                        full["delta_t"], t_true)
         write_csv(args.output, ["t_us", "p_g_data", "p_g_fit"],
                   np.column_stack([series.times * 1e6, series.p_g, fit_curve]))
     return EXIT_OK if result.converged else EXIT_NOCONVERGE
@@ -405,10 +398,7 @@ def cmd_davies_check(args) -> int:
     params = _params(config)
     alpha, beta = args.alpha, args.beta
     ops = davies.davies_decompose(alpha, beta, args.n_max, params)
-    h = davies.ladder_hamiltonian(args.n_max, params)
-    comm = max(float(np.max(np.abs(h @ op.operator - op.operator @ h
-                                   + op.bohr_frequency * op.operator)))
-               / (1.0 + abs(op.bohr_frequency)) for op in ops)
+    comm = davies.commutation_defect(ops, args.n_max, params)
     w_down = {params.omega0 + params.g: float(config["gamma1"]) / alpha ** 2,
               params.omega0 - params.g: float(config["gamma2"]) / alpha ** 2,
               2.0 * params.g: 2.0 * float(config["gamma3"]) / beta ** 2}

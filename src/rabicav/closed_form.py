@@ -3,17 +3,18 @@
 The open-cavity model is solved through its damping basis: the generator's
 nine eigenoperators are known in closed form, the initial state |e,0><e,0|
 decomposes over five of them, and the evolution is a plain sum of decaying
-exponentials.  Degenerate parameter combinations (vanishing eigenvalue gap or
-vanishing decomposition denominators) have removable singularities that the
-formulas do not resolve; those inputs are routed to a numeric 9x9
-eigen-propagation fallback and the result is tagged ``"fallback"``.
+exponentials, so every curve is one :class:`ExpSum`.  Degenerate parameter
+combinations (vanishing eigenvalue gap or vanishing decomposition
+denominators) have removable singularities that the formulas do not resolve;
+those inputs are routed to a numeric 9x9 eigen-propagation fallback, tagged
+``"fallback"``, whose spectrum gives the curves' sums.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -42,10 +43,12 @@ def initial_excited_state(basis: Basis) -> DensityMatrix:
 
 
 def _time_grid(t) -> np.ndarray:
-    """``t`` (a scalar or a 1-D array) as a 1-D float array."""
+    """``t`` (a time or a 1-D array of times, all >= 0) as a 1-D float array."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if ts.ndim != 1:
         raise ValidationError("t must be a scalar or a 1-D array")
+    if np.any(ts < 0):
+        raise ValidationError("t must be >= 0")
     return ts
 
 
@@ -58,6 +61,64 @@ def _state(diag: np.ndarray, m01: np.ndarray, m10: np.ndarray, basis: Basis, t,
     m[:, 0, 1] = m01
     m[:, 1, 0] = m10
     return DensityMatrix(m[0] if np.ndim(t) == 0 else m, basis, note).validate()
+
+
+@dataclass(frozen=True, eq=False)
+class ExpSum:
+    """The curve const + Re sum_k c_k exp(z_k t), over z_k such as the
+    damping-basis eigenvalues (Briegel & Englert, PRA 47, 3311 (1993)).
+
+    :meth:`at` and :meth:`smeared` take a time or a 1-D array of times >= 0
+    and return a float or an array.  A term with real c reduces to
+    c*exp(Re z t)*cos(Im z t), with real z to c*exp(z t), and is evaluated
+    in that reduced form.
+    """
+
+    const: float
+    c: np.ndarray     # shape (K,), K >= 1, real or complex
+    z: np.ndarray     # shape (K,), real or complex
+
+    def at(self, t):
+        """The sum at the sharp time(s) ``t``."""
+        return self._sum(t, lambda z, ts: (np.exp(z.real * ts), z.imag * ts if z.imag else None))
+
+    def smeared(self, delta_t: float, t):
+        """The sum averaged over a gamma-distributed evolution time of mean t
+        and variance t*delta_t (:func:`rabicav.dephase.gamma_kernel`).
+
+        The kernel's moment-generating identity maps each e^{z t} to
+        (1 - z*delta_t)^{-t/delta_t} (Bonifacio, Olivares, Tombesi & Vitali,
+        PRA 61, 053802 (2000)).  ``delta_t == 0`` gives :meth:`at`.
+        """
+        if delta_t < 0:
+            raise ValidationError("delta_t must be >= 0")
+        if delta_t == 0.0:
+            return self.at(t)
+
+        def term(z, ts):
+            a, w = -z.real, z.imag
+            if not w:
+                return np.exp(-(ts / delta_t) * math.log1p(a * delta_t)), None
+            # log|1 - z dt|^2 and -arg(1 - z dt)
+            log_mod = math.log1p(2.0 * a * delta_t + (a * a + w * w) * delta_t * delta_t)
+            phase = math.atan2(w * delta_t, 1.0 + a * delta_t)
+            return np.exp(-(ts / (2.0 * delta_t)) * log_mod), (ts / delta_t) * phase
+
+        return self._sum(t, term)
+
+    def _sum(self, t, term):
+        """const plus each term, given as (modulus, phase or None) by ``term(z, ts)``."""
+        ts = _time_grid(t)
+        out = self.const
+        for c, z in zip(self.c.tolist(), self.z.tolist()):
+            mod, phase = term(z, ts)
+            if phase is None:
+                out = out + c.real * mod
+            elif not c.imag:
+                out = out + c.real * mod * np.cos(phase)
+            else:
+                out = out + mod * (c.real * np.cos(phase) - c.imag * np.sin(phase))
+        return float(out[0]) if np.ndim(t) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +143,8 @@ def phenom_T0_rho(g: float, gamma: float, t) -> DensityMatrix:
     tagged ``"hyperbolic"``.
     """
     ts = _time_grid(t)
-    if g <= 0 or gamma < 0 or np.any(ts < 0):
-        raise ValidationError("need g > 0, gamma >= 0, t >= 0")
+    if g <= 0 or gamma < 0:
+        raise ValidationError("need g > 0, gamma >= 0")
     d2 = gamma * gamma - 16.0 * g * g
     if d2 == 0.0:
         raise ValidationError("critically damped point gamma = 4g is not supported")
@@ -135,8 +196,8 @@ def microscopic_rho(g: float, gamma1: float, gamma2: float, t) -> DensityMatrix:
     ``t`` is a time or a 1-D array of times (one state per time, stacked).
     """
     ts = _time_grid(t)
-    if gamma1 < 0 or gamma2 < 0 or np.any(ts < 0):
-        raise ValidationError("rates and t must be >= 0")
+    if gamma1 < 0 or gamma2 < 0:
+        raise ValidationError("rates must be >= 0")
     e1 = elementwise(math.exp, -gamma1 * ts / 2.0)
     e2 = elementwise(math.exp, -gamma2 * ts / 2.0)
     coh = -0.5 * elementwise(math.exp, -(gamma1 + gamma2) * ts / 4.0)
@@ -153,11 +214,8 @@ def microscopic_pg(g: float, gamma1: float, gamma2: float, t) -> float | np.ndar
     """
     if gamma1 < 0 or gamma2 < 0:
         raise ValidationError("rates must be >= 0")
-    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
-    return (1.0
-            - 0.25 * np.exp(-gamma1 * np.multiply(t, 0.5))
-            - 0.25 * np.exp(-gamma2 * np.multiply(t, 0.5))
-            - 0.5 * np.exp(-(gamma1 + gamma2) * np.multiply(t, 0.25)) * np.cos(2.0 * g * t))
+    z = np.array([-gamma1 * 0.5, -gamma2 * 0.5, complex(-(gamma1 + gamma2) * 0.25, 2.0 * g)])
+    return ExpSum(1.0, np.array([-0.25, -0.25, -0.5]), z).at(t)
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +365,17 @@ def _phase_coupling(params: PhysicalParams, geometry: CavityGeometry | None) -> 
     return params.g * SQRT_PI * geometry.waist / geometry.diameter
 
 
-def _fallback_rho(rates: DecayRates, params: PhysicalParams, t,
-                  geometry: CavityGeometry | None) -> DensityMatrix:
+def _fallback(rates: DecayRates, params: PhysicalParams, t,
+              geometry: CavityGeometry | None):
     """Numeric eigen-propagation of the 9x9 generator (degenerate inputs).
 
-    One eigendecomposition serves every time in ``t``.  For the Gaussian
-    profile the coupling enters the generator only through the off-diagonal
-    phases, so propagating with the effective coupling reproduces the
-    profile-averaged state.
+    One eigendecomposition serves every time in ``t``.  Returns the states
+    at ``t``, tagged ``"fallback"``, the eigenvalues lam and the modes:
+    vec(rho(t)) = modes @ exp(lam t).  For the Gaussian profile the coupling
+    enters the generator only through the off-diagonal phases, so
+    propagating with the effective coupling reproduces the profile-averaged
+    state.
     """
-    from dataclasses import replace
     p = params if geometry is None else replace(params, g=_phase_coupling(params, geometry))
     liou = build_liouvillian(OpenCavity(rates), p)
     lam, vmat = np.linalg.eig(liou.matrix)
@@ -327,7 +386,14 @@ def _fallback_rho(rates: DecayRates, params: PhysicalParams, t,
     v = np.matmul(vmat, (np.exp(ts[:, None] * lam) * w)[:, :, None])
     m = np.swapaxes(v.reshape(-1, 3, 3), 1, 2)     # unvec of each column-stacked state
     m = 0.5 * (m + np.swapaxes(m.conj(), 1, 2))
-    return DensityMatrix(m[0] if np.ndim(t) == 0 else m, Basis.DRESSED, "fallback")
+    rho = DensityMatrix(m[0] if np.ndim(t) == 0 else m, Basis.DRESSED, "fallback")
+    return rho, lam, vmat * w
+
+
+def _fallback_rho(rates: DecayRates, params: PhysicalParams, t,
+                  geometry: CavityGeometry | None) -> DensityMatrix:
+    """The fallback states of :func:`_fallback` alone."""
+    return _fallback(rates, params, t, geometry)[0]
 
 
 def opencavity_rho(rates: DecayRates, eps: float, params: PhysicalParams,
@@ -340,8 +406,6 @@ def opencavity_rho(rates: DecayRates, eps: float, params: PhysicalParams,
     return the numeric fallback, tagged ``"fallback"``.
     """
     ts = _time_grid(t)
-    if np.any(ts < 0):
-        raise ValidationError("t must be >= 0")
     try:
         basis, coeffs = _decompose(rates, eps)
     except DegenerateModelError:
@@ -358,6 +422,38 @@ def opencavity_rho(rates: DecayRates, eps: float, params: PhysicalParams,
                   Basis.DRESSED, t)
 
 
+def _population_decay(rates: DecayRates, eps: float):
+    """Gap S and the decay rates kp, km; None for a vanishing gap.  kp, km equal
+    -eigenvalues[1:3] but are formed in the rounding the curve digests pin."""
+    _check_simplified(rates, eps)
+    basis = damping_basis(rates)
+    if basis.degenerate:
+        return None
+    g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
+    s = basis.s_value.real
+    total = g1 + g2 + 2.0 * g3 + eps * (g1 + g2)
+    return s, (total + s) / 4.0, (total - s) / 4.0
+
+
+def _pg_sum(rates: DecayRates, eps: float, params: PhysicalParams, t,
+            geometry: CavityGeometry | None) -> ExpSum:
+    """The ground-state probability as an :class:`ExpSum`: two population
+    exponentials and the Rabi term, or the fallback spectrum."""
+    decay = _population_decay(rates, eps)
+    if decay is None:
+        # 1 - Tr(P rho) with P = |e,0><e,0|, as Tr(A rho) = vec(A^T) . vec(rho)
+        _, lam, modes = _fallback(rates, params, t, geometry)
+        return ExpSum(1.0, -vec(_DRESSED_INITIAL.T) @ modes, lam)
+    s, kp, km = decay
+    g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
+    base = 2.0 * g3 - eps * (g1 + g2)
+    norm = 4.0 * s * (2.0 * eps + 1.0)
+    gamma4 = (g1 + g2 + 2.0 * g3) / 4.0
+    c = np.array([(base - s) / norm, -(base + s) / norm, -0.5])
+    z = np.array([-kp, -km, complex(-gamma4, 2.0 * _phase_coupling(params, geometry))])
+    return ExpSum(opencavity_pg_asymptote(eps), c, z)
+
+
 def opencavity_pg(rates: DecayRates, eps: float, params: PhysicalParams,
                   t, geometry: CavityGeometry | None = None):
     """Ground-state probability of the open-cavity model.
@@ -365,60 +461,35 @@ def opencavity_pg(rates: DecayRates, eps: float, params: PhysicalParams,
     Three-exponential closed form with asymptote (1+eps)/(1+2*eps); inputs
     with a vanishing eigenvalue gap go through the numeric fallback.
     """
-    _check_simplified(rates, eps)
-    basis = damping_basis(rates)
-    scalar = np.ndim(t) == 0
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts < 0):
-        raise ValidationError("t must be >= 0")
-    if basis.degenerate:
-        from .models import ground_state_probability
-        out = ground_state_probability(_fallback_rho(rates, params, ts, geometry))
-        return float(out[0]) if scalar else out
-    g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
-    s = basis.s_value.real
-    g_phase = _phase_coupling(params, geometry)
-    kp = (g1 + g2 + 2.0 * g3 + eps * (g1 + g2) + s) / 4.0
-    km = (g1 + g2 + 2.0 * g3 + eps * (g1 + g2) - s) / 4.0
-    cp = (2.0 * g3 - eps * (g1 + g2) - s) / (4.0 * s * (2.0 * eps + 1.0))
-    cm = (2.0 * g3 - eps * (g1 + g2) + s) / (4.0 * s * (2.0 * eps + 1.0))
-    gamma4 = (g1 + g2 + 2.0 * g3) / 4.0
-    out = ((1.0 + eps) / (1.0 + 2.0 * eps)
-           + cp * np.exp(-kp * ts) - cm * np.exp(-km * ts)
-           - 0.5 * np.exp(-gamma4 * ts) * np.cos(2.0 * g_phase * ts))
-    return float(out[0]) if scalar else out
+    return _pg_sum(rates, eps, params, t, geometry).at(t)
 
 
 def opencavity_pg_asymptote(eps: float) -> float:
     return (1.0 + eps) / (1.0 + 2.0 * eps)
 
 
+def _energy_sum(rates: DecayRates, eps: float, params: PhysicalParams, t) -> ExpSum:
+    """The mean energy as an :class:`ExpSum` (fallback states validated at ``t``)."""
+    decay = _population_decay(rates, eps)
+    if decay is None:
+        _, lam, modes = _fallback(rates, params, t, None)
+        return ExpSum(0.0, vec(dressed_hamiltonian(params).T) @ modes, lam)
+    s, kp, km = decay
+    g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
+    w0, g = params.omega0, params.g
+    base = g1 * eps * (w0 + 2.0 * g) + g2 * eps * (w0 - 2.0 * g) + g * (g1 - g2) - 2.0 * w0 * g3
+    norm = 2.0 * s * (2.0 * eps + 1.0)
+    c = np.array([(base + s * w0) / norm, -(base - s * w0) / norm])
+    return ExpSum(energy_mean_asymptote(eps, params), c, np.array([-kp, -km]))
+
+
 def energy_mean(rates: DecayRates, eps: float, params: PhysicalParams, t):
     """Mean confined energy Tr(Omega rho(t)) in angular-frequency units.
 
     With gamma1 = gamma2 the curve is independent of gamma3; degenerate
-    inputs are evaluated as a direct trace against the fallback state.
+    inputs are evaluated over the fallback generator's spectrum.
     """
-    _check_simplified(rates, eps)
-    basis = damping_basis(rates)
-    scalar = np.ndim(t) == 0
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if basis.degenerate:
-        h = np.diag(dressed_hamiltonian(params)).real
-        rho = _fallback_rho(rates, params, ts, None).matrix
-        out = np.real(np.trace(np.diag(h) @ rho, axis1=1, axis2=2))
-        return float(out[0]) if scalar else out
-    g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
-    s = basis.s_value.real
-    w0, g = params.omega0, params.g
-    kp = (g1 + g2 + 2.0 * g3 + eps * (g1 + g2) + s) / 4.0
-    km = (g1 + g2 + 2.0 * g3 + eps * (g1 + g2) - s) / 4.0
-    base = g1 * eps * (w0 + 2.0 * g) + g2 * eps * (w0 - 2.0 * g) + g * (g1 - g2) - 2.0 * w0 * g3
-    cp = (base + s * w0) / (2.0 * s * (2.0 * eps + 1.0))
-    cm = (base - s * w0) / (2.0 * s * (2.0 * eps + 1.0))
-    out = (0.5 * w0 * (2.0 * eps - 1.0) / (2.0 * eps + 1.0)
-           + cp * np.exp(-kp * ts) - cm * np.exp(-km * ts))
-    return float(out[0]) if scalar else out
+    return _energy_sum(rates, eps, params, t).at(t)
 
 
 def energy_mean_asymptote(eps: float, params: PhysicalParams) -> float:

@@ -151,6 +151,14 @@ def ladder_hamiltonian(n_max: int, params: PhysicalParams) -> np.ndarray:
     return np.diag(energies).astype(complex)
 
 
+def commutation_defect(ops: list[DaviesOperator], n_max: int, params: PhysicalParams) -> float:
+    """Largest entry of |[H, A(w)] + w A(w)| / (1 + |w|) over the operators."""
+    h = ladder_hamiltonian(n_max, params)
+    return max(float(np.max(np.abs(h @ op.operator - op.operator @ h
+                                   + op.bohr_frequency * op.operator)))
+               / (1.0 + abs(op.bohr_frequency)) for op in ops)
+
+
 def assemble_generator(ops: list[DaviesOperator], weights: SpectralWeights,
                        params: PhysicalParams | None = None) -> Liouvillian:
     """Weak-coupling generator on the lowest manifold from the jump operators.
@@ -170,4 +178,4 @@ def assemble_generator(ops: list[DaviesOperator], weights: SpectralWeights,
             continue
         mat += dissipator_superop(weights.rate(op.bohr_frequency), block)
         mat += dissipator_superop(weights.rate(-op.bohr_frequency), block.conj().T)
-    return Liouvillian(mat, Basis.DRESSED, None)
+    return Liouvillian(mat, Basis.DRESSED)

@@ -2,10 +2,12 @@
 
 A finite timing spread Delta t (collisional velocity error, finite detector
 resolution) replaces rho(t) by a gamma-distributed average over evolution
-times with mean t and variance t*Delta t.  Acting on the open-cavity closed
-forms, every decaying exponential e^{-k t} turns into the power law
-(1 + k Dt)^{-t/Dt} and the oscillating term picks up an arctan phase; the
-Dt -> 0 limit restores the sharp-time curves.
+times with mean t and variance t*Delta t.  Every open-cavity curve is an
+exponential sum (:class:`rabicav.closed_form.ExpSum`), and the kernel maps
+each term e^{z t} to (1 - z Dt)^{-t/Dt}: decaying exponentials turn into
+power laws and the oscillating term picks up an arctan phase; the Dt -> 0
+limit restores the sharp-time curves.  Adaptive quadrature against the
+kernel, :func:`_quadrature`, is kept as the independent oracle.
 """
 
 from __future__ import annotations
@@ -13,12 +15,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
-from .closed_form import _check_simplified, damping_basis, energy_mean, opencavity_pg
+from .closed_form import _energy_sum, _pg_sum
 from .core import ValidationError
-from .evolve import CavityGeometry, SQRT_PI
+from .evolve import CavityGeometry
 from .models import DecayRates, PhysicalParams
 
 
@@ -40,7 +40,7 @@ def gamma_kernel(t: float, t_prime, delta_t: float):
     out = np.zeros_like(tp)
     pos = tp > 0
     x = tp[pos] / delta_t
-    log_pdf = -x + (shape - 1.0) * np.log(x) - math.log(delta_t) - gammaln(shape)
+    log_pdf = -x + (shape - 1.0) * np.log(x) - math.log(delta_t) - math.lgamma(shape)
     out[pos] = np.exp(log_pdf)
     if np.any(~pos):
         if shape < 1.0:
@@ -50,23 +50,15 @@ def gamma_kernel(t: float, t_prime, delta_t: float):
     return float(out[0]) if scalar else out
 
 
-def _power_term(kappa: float, delta_t: float, t):
-    """Gamma-kernel image of e^{-kappa t}: (1 + kappa*Dt)^{-t/Dt}, stably."""
-    return np.exp(-(np.asarray(t, dtype=float) / delta_t) * math.log1p(kappa * delta_t))
-
-
-def _cos_term(gamma4: float, omega: float, delta_t: float, t):
-    """Gamma-kernel image of e^{-gamma4 t} cos(omega t)."""
-    ts = np.asarray(t, dtype=float)
-    log_mod = math.log1p(2.0 * gamma4 * delta_t
-                         + (gamma4 * gamma4 + omega * omega) * delta_t * delta_t)
-    phase = math.atan2(omega * delta_t, 1.0 + gamma4 * delta_t)
-    return np.exp(-(ts / (2.0 * delta_t)) * log_mod) * np.cos((ts / delta_t) * phase)
-
-
 def _quadrature(func, t: float, delta_t: float) -> float:
-    """Adaptive Gauss-Kronrod average of ``func`` against the gamma kernel."""
-    upper = t + 12.0 * math.sqrt(t * delta_t)
+    """Adaptive Gauss-Kronrod average of ``func`` against the gamma kernel.
+
+    The upper limit, 12 standard deviations plus 40 scales past the mean,
+    leaves out a negligible tail of the kernel at every shape t/Dt.
+    """
+    from scipy.integrate import quad
+
+    upper = t + 12.0 * math.sqrt(t * delta_t) + 40.0 * delta_t
     value, _ = quad(lambda tp: gamma_kernel(t, tp, delta_t) * func(tp),
                     0.0, upper, epsabs=1e-12, epsrel=1e-9, limit=400)
     return value
@@ -76,40 +68,11 @@ def convolve_pg(rates: DecayRates, eps: float, params: PhysicalParams,
                 geom: CavityGeometry, delta_t: float, t):
     """Time-uncertainty-averaged ground-state probability (Gaussian profile).
 
-    Closed form: the two population exponentials become power laws and the
-    Rabi term acquires the arctan phase; degenerate-gap inputs are averaged
-    numerically against the fallback curve instead.
+    The smeared exponential sum of :func:`rabicav.closed_form.opencavity_pg`;
+    degenerate-gap inputs smear the fallback generator's spectrum the same
+    way.
     """
-    if delta_t < 0:
-        raise ValidationError("delta_t must be >= 0")
-    _check_simplified(rates, eps)
-    if delta_t == 0.0:
-        return opencavity_pg(rates, eps, params, t, geometry=geom)
-    basis = damping_basis(rates)
-    scalar = np.ndim(t) == 0
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts < 0):
-        raise ValidationError("t must be >= 0")
-    if basis.degenerate:
-        out = np.array([
-            opencavity_pg(rates, eps, params, 0.0, geometry=geom) if tv == 0.0
-            else _quadrature(lambda tp: opencavity_pg(rates, eps, params, tp, geometry=geom),
-                             tv, delta_t)
-            for tv in ts])
-        return float(out[0]) if scalar else out
-    g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
-    s = basis.s_value.real
-    kp = (g1 + g2 + 2.0 * g3 + eps * (g1 + g2) + s) / 4.0
-    km = (g1 + g2 + 2.0 * g3 + eps * (g1 + g2) - s) / 4.0
-    cp = (2.0 * g3 - eps * (g1 + g2) - s) / (4.0 * s * (2.0 * eps + 1.0))
-    cm = (2.0 * g3 - eps * (g1 + g2) + s) / (4.0 * s * (2.0 * eps + 1.0))
-    gamma4 = (g1 + g2 + 2.0 * g3) / 4.0
-    omega = 2.0 * params.g * SQRT_PI * geom.waist / geom.diameter
-    out = ((1.0 + eps) / (1.0 + 2.0 * eps)
-           + cp * _power_term(kp, delta_t, ts)
-           - cm * _power_term(km, delta_t, ts)
-           - 0.5 * _cos_term(gamma4, omega, delta_t, ts))
-    return float(out[0]) if scalar else out
+    return _pg_sum(rates, eps, params, t, geom).smeared(delta_t, t)
 
 
 def convolve_energy(rates: DecayRates, eps: float, params: PhysicalParams,
@@ -119,29 +82,4 @@ def convolve_energy(rates: DecayRates, eps: float, params: PhysicalParams,
     Each exponential of the sharp-time curve maps to its gamma-kernel power
     law (the kernel's moment-generating identity).
     """
-    if delta_t < 0:
-        raise ValidationError("delta_t must be >= 0")
-    _check_simplified(rates, eps)
-    if delta_t == 0.0:
-        return energy_mean(rates, eps, params, t)
-    basis = damping_basis(rates)
-    scalar = np.ndim(t) == 0
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if basis.degenerate:
-        out = np.array([
-            energy_mean(rates, eps, params, 0.0) if tv == 0.0
-            else _quadrature(lambda tp: energy_mean(rates, eps, params, tp), tv, delta_t)
-            for tv in ts])
-        return float(out[0]) if scalar else out
-    g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
-    s = basis.s_value.real
-    w0, g = params.omega0, params.g
-    kp = (g1 + g2 + 2.0 * g3 + eps * (g1 + g2) + s) / 4.0
-    km = (g1 + g2 + 2.0 * g3 + eps * (g1 + g2) - s) / 4.0
-    base = g1 * eps * (w0 + 2.0 * g) + g2 * eps * (w0 - 2.0 * g) + g * (g1 - g2) - 2.0 * w0 * g3
-    cp = (base + s * w0) / (2.0 * s * (2.0 * eps + 1.0))
-    cm = (base - s * w0) / (2.0 * s * (2.0 * eps + 1.0))
-    out = (0.5 * w0 * (2.0 * eps - 1.0) / (2.0 * eps + 1.0)
-           + cp * _power_term(kp, delta_t, ts)
-           - cm * _power_term(km, delta_t, ts))
-    return float(out[0]) if scalar else out
+    return _energy_sum(rates, eps, params, t).smeared(delta_t, t)

@@ -231,7 +231,7 @@ def gaussian_liouvillian(kind: ModelKind, params: PhysicalParams,
 
     def at(t: float) -> Liouvillian:
         g = gaussian_coupling(params.g, geom, t_total, min(max(t, 0.0), t_total))
-        return Liouvillian(l0 + g * slope, basis, kind)
+        return Liouvillian(l0 + g * slope, basis)
 
     return at
 

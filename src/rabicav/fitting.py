@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .core import ValidationError
-from .closed_form import energy_mean_asymptote, opencavity_pg
+from .closed_form import energy_mean_asymptote
 from .dephase import convolve_pg
 from .evolve import CavityGeometry, SQRT_PI, true_time
 from .models import DecayRates, PhysicalParams
@@ -335,11 +335,8 @@ def fit_rabi(series: ExperimentSeries, config: RabiFitConfig,
             full["gamma2"] = full["gamma1"]
         rates = DecayRates.simplified(full["gamma1"], full["gamma2"],
                                       full["gamma3"], config.eps)
-        if full["delta_t"] > 0.0:
-            return np.asarray(convolve_pg(rates, config.eps, config.params,
-                                          config.geom, full["delta_t"], ts))
-        return np.asarray(opencavity_pg(rates, config.eps, config.params, ts,
-                                        geometry=config.geom))
+        return np.asarray(convolve_pg(rates, config.eps, config.params,
+                                      config.geom, full["delta_t"], ts))
 
     problem = FitProblem(model, t_true, series.p_g, series.sigma, free,
                          {n: base[n] for n in free},

@@ -257,7 +257,6 @@ class Liouvillian:
 
     matrix: np.ndarray
     basis: Basis
-    kind: ModelKind | None
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", as_square_matrix(self.matrix, dims=(9,)))
@@ -283,17 +282,17 @@ def build_liouvillian(kind: ModelKind, params: PhysicalParams) -> Liouvillian:
     if isinstance(kind, PhenomT0):
         mat = hamiltonian_superop(bare_hamiltonian(params))
         mat += dissipator_superop(kind.gamma, _unit(2, 1))
-        return Liouvillian(mat, Basis.BARE, kind)
+        return Liouvillian(mat, Basis.BARE)
     if isinstance(kind, PhenomT):
         mat = hamiltonian_superop(bare_hamiltonian(params))
         mat += dissipator_superop(kind.gamma_down, _unit(2, 1))
         mat += dissipator_superop(kind.gamma_up, _unit(1, 2))
-        return Liouvillian(mat, Basis.BARE, kind)
+        return Liouvillian(mat, Basis.BARE)
     if isinstance(kind, Microscopic):
         mat = hamiltonian_superop(dressed_hamiltonian(params))
         mat += dissipator_superop(kind.gamma1 / 2, _unit(2, 0))
         mat += dissipator_superop(kind.gamma2 / 2, _unit(2, 1))
-        return Liouvillian(mat, Basis.DRESSED, kind)
+        return Liouvillian(mat, Basis.DRESSED)
     if isinstance(kind, OpenCavity):
         r = kind.rates
         mat = hamiltonian_superop(dressed_hamiltonian(params))
@@ -303,7 +302,7 @@ def build_liouvillian(kind: ModelKind, params: PhysicalParams) -> Liouvillian:
         mat += dissipator_superop(r.gamma_b / 2, _unit(1, 2))
         mat += dissipator_superop(r.gamma3 / 2, _unit(1, 0))
         mat += dissipator_superop(r.gamma_c / 2, _unit(0, 1))
-        return Liouvillian(mat, Basis.DRESSED, kind)
+        return Liouvillian(mat, Basis.DRESSED)
     raise ValidationError(f"unknown model kind {kind!r}")
 
 

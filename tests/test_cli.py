@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rabicav
 from rabicav import closed_form as cf
 from rabicav import cli, dephase, entangle, evolve, fitting, models
 
@@ -287,3 +291,27 @@ def test_fit_q_command(capsys):
 def test_davies_check_command(capsys):
     assert run_cli("davies-check", "--n-max", "2") == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["simulate", "energy", "fit-q"])
+def test_negative_times_are_validation_errors(tmp_path, command, capsys):
+    assert run_cli(command, "--start-us", "-3", "--end-us", "0", "--step-us", "1",
+                   "-o", str(tmp_path / "out.csv")) == cli.EXIT_VALIDATION
+    assert "t must be >= 0" in capsys.readouterr().err
+
+
+def test_energy_rejects_negative_spread(tmp_path):
+    assert run_cli("energy", "--delta-t-us", "-1", "--end-us", "3",
+                   "-o", str(tmp_path / "e.csv")) == cli.EXIT_VALIDATION
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is only needed for quadrature, which no CLI command runs
+    code = ("import sys, rabicav.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(rabicav.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rabicav import closed_form as cf
-from rabicav import evolve, models
+from rabicav import dephase, evolve, models
 from rabicav.core import Basis, ValidationError
 
 
@@ -416,3 +416,33 @@ def test_batched_producers_validate_times(params, paper_rates):
         cf.microscopic_rho(params.g, 1.0, 1.0, np.zeros((2, 2)))
     with pytest.raises(ValidationError):
         cf.phenom_T0_rho(params.g, 1.0, np.array([0.0, -1.0]))
+
+
+# ---------------------------------------------------------------------------
+# exponential sums: the degenerate spectrum and the time check
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_degenerate_sum_equals_fallback_states(params, geometry, gaussian):
+    geom = geometry if gaussian else None
+    pg = cf.opencavity_pg(_DEGENERATE, 0.0466, params, _TIMES, geometry=geom)
+    states = cf._fallback_rho(_DEGENERATE, params, _TIMES, geom)
+    assert np.max(np.abs(pg - models.ground_state_probability(states))) <= 1e-12
+    h = np.diag(models.dressed_hamiltonian(params)).real
+    energy = cf.energy_mean(_DEGENERATE, 0.0466, params, _TIMES)
+    trace = np.einsum("i,nii->n", h, cf._fallback_rho(_DEGENERATE, params, _TIMES, None).matrix)
+    assert np.max(np.abs(energy - trace.real)) <= 1e-12 * params.omega0
+
+
+@pytest.mark.parametrize("rates", [_DEGENERATE, None], ids=["degenerate", "paper"])
+@pytest.mark.parametrize("curve", [
+    lambda r, p, g, t: cf.opencavity_pg(r, 0.0466, p, t),
+    lambda r, p, g, t: cf.energy_mean(r, 0.0466, p, t),
+    lambda r, p, g, t: dephase.convolve_pg(r, 0.0466, p, g, 2e-6, t),
+    lambda r, p, g, t: dephase.convolve_energy(r, 0.0466, p, 2e-6, t),
+    lambda r, p, g, t: cf.microscopic_pg(p.g, r.gamma1, r.gamma2, t),
+], ids=["pg", "energy", "convolve_pg", "convolve_energy", "microscopic_pg"])
+@pytest.mark.parametrize("t", [-1e-5, np.array([0.0, 1e-6, -1e-6])], ids=["scalar", "array"])
+def test_curves_reject_negative_times(params, paper_rates, geometry, rates, curve, t):
+    with pytest.raises(ValidationError, match="^t must be >= 0$"):
+        curve(rates or paper_rates, params, geometry, t)

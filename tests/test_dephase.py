@@ -45,15 +45,18 @@ def test_kernel_zero_argument_cases():
 
 
 def test_kernel_passes_constants_through_quadrature():
-    value = dephase._quadrature(lambda tp: 0.7, 80e-6, 2e-6)
-    assert value == pytest.approx(0.7, rel=1e-9)
+    # t/dt = 40, and the small shapes 0.42 and 2.1, whose kernels reach far
+    # past t + 12 standard deviations
+    for t, dt in ((80e-6, 2e-6), (1e-6, 2.37e-6), (5e-6, 2.37e-6)):
+        value = dephase._quadrature(lambda tp: 0.7, t, dt)
+        assert value == pytest.approx(0.7, rel=1e-9)
 
 
 def test_exponential_moment_identity():
     # gamma-kernel image of e^{-kappa t'} is the power law (1 + kappa dt)^{-t/dt}
     kappa, t, dt = 5177.0, 200e-6, 2.37e-6
     direct = dephase._quadrature(lambda tp: math.exp(-kappa * tp), t, dt)
-    closed = float(dephase._power_term(kappa, dt, t))
+    closed = cf.ExpSum(0.0, np.array([1.0]), np.array([-kappa])).smeared(dt, t)
     assert closed == pytest.approx((1 + kappa * dt) ** (-t / dt), rel=1e-12)
     assert direct == pytest.approx(closed, rel=1e-9)
 
@@ -75,13 +78,15 @@ def test_convolve_pg_matches_quadrature(params, paper_rates, geometry):
 
 
 def test_convolve_pg_degenerate_uses_quadrature(params, geometry):
+    # the smeared fallback spectrum against the quadrature oracle, also at
+    # t/dt ~ 2 where the kernel is far from Gaussian
     rates = models.DecayRates.simplified(1000.0, 1000.0, 46.6, 0.0466)
     assert cf.damping_basis(rates).degenerate
-    t, dt = 60e-6, 1e-6
-    value = dephase.convolve_pg(rates, 0.0466, params, geometry, dt, t)
-    direct = dephase._quadrature(
-        lambda tp: cf.opencavity_pg(rates, 0.0466, params, tp, geometry=geometry), t, dt)
-    assert value == pytest.approx(direct, abs=1e-9)
+    for t, dt in ((60e-6, 1e-6), (5e-6, 2.37e-6)):
+        value = dephase.convolve_pg(rates, 0.0466, params, geometry, dt, t)
+        direct = dephase._quadrature(
+            lambda tp: cf.opencavity_pg(rates, 0.0466, params, tp, geometry=geometry), t, dt)
+        assert value == pytest.approx(direct, abs=1e-9)
 
 
 def test_convolve_pg_stays_in_unit_interval(params, paper_rates, geometry):
@@ -96,7 +101,8 @@ def test_monotone_blur(params, paper_rates, geometry):
     gamma4 = (paper_rates.gamma1 + paper_rates.gamma2 + 2 * paper_rates.gamma3) / 4.0
     omega = 2 * params.g * evolve_factor(geometry)
     t = 150e-6
-    amps = [abs(dephase._cos_term(gamma4, omega, dt, t) /
+    rabi = cf.ExpSum(0.0, np.array([1.0]), np.array([complex(-gamma4, omega)]))
+    amps = [abs(rabi.smeared(dt, t) /
                 math.cos((t / dt) * math.atan2(omega * dt, 1 + gamma4 * dt)))
             for dt in (0.1e-6, 0.5e-6, 1e-6, 2.37e-6, 5e-6)]
     assert all(b <= a for a, b in zip(amps, amps[1:]))
@@ -122,11 +128,13 @@ def test_convolve_energy_small_relative_change(params, paper_rates):
 
 
 def test_convolve_energy_matches_quadrature(params, paper_rates):
+    degenerate = models.DecayRates.simplified(1000.0, 1000.0, 46.6, 0.0466)
     t, dt = 150e-6, 5e-6
-    closed = dephase.convolve_energy(paper_rates, 0.0466, params, dt, t)
-    direct = dephase._quadrature(
-        lambda tp: cf.energy_mean(paper_rates, 0.0466, params, tp), t, dt)
-    assert closed == pytest.approx(direct, rel=1e-9)
+    for rates in (paper_rates, degenerate):
+        closed = dephase.convolve_energy(rates, 0.0466, params, dt, t)
+        direct = dephase._quadrature(
+            lambda tp: cf.energy_mean(rates, 0.0466, params, tp), t, dt)
+        assert closed == pytest.approx(direct, rel=1e-9)
 
 
 def test_negative_spread_rejected(params, paper_rates, geometry):

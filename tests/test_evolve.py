@@ -17,7 +17,7 @@ def test_geometry_validation():
 
 
 def test_zero_generator_constant_trajectory(params):
-    zero = models.Liouvillian(np.zeros((9, 9), dtype=complex), Basis.DRESSED, None)
+    zero = models.Liouvillian(np.zeros((9, 9), dtype=complex), Basis.DRESSED)
     rho0 = cf.initial_excited_state(Basis.DRESSED)
     traj = evolve.integrate(zero, rho0, 1e-4, t_eval=[2e-5, 1e-4])
     for state in traj.states:
