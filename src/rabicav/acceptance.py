@@ -362,8 +362,8 @@ def criterion_14_trajectory_hygiene() -> CriterionResult:
     worst_trace = 0.0
     worst_eig = 0.0
     for _, (_, _, traj) in _oracle_runs().items():
-        worst_trace = max(worst_trace, max(s.trace_defect for s in traj.states))
-        worst_eig = min(worst_eig, min(s.min_eigenvalue for s in traj.states))
+        worst_trace = max(worst_trace, float(np.max(traj.states.trace_defect)))
+        worst_eig = min(worst_eig, float(np.min(traj.states.min_eigenvalue)))
     ok = worst_trace <= 1e-9 and worst_eig >= -1e-9
     return _result(14, "trajectory trace drift and positivity", ok,
                    f"max trace defect {worst_trace:.2e} (tol 1e-9), min eigenvalue "

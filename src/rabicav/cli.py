@@ -238,6 +238,8 @@ def _simulate_rows(config: dict) -> tuple[list[str], np.ndarray]:
     ts = ts_us * 1e-6
     name = config["model"]
 
+    if delta_t < 0.0:
+        raise ValidationError("delta_t must be >= 0")
     if delta_t > 0.0 and name != "open-cavity":
         raise ValidationError("time-uncertainty averaging is defined for the open-cavity model")
 
@@ -253,10 +255,7 @@ def _simulate_rows(config: dict) -> tuple[list[str], np.ndarray]:
     elif geom is None:  # phenom-t, constant coupling: numeric oracle
         liou = models.build_liouvillian(kind, params)
         rho0 = cf.initial_excited_state(Basis.BARE)
-        grid = ts[ts > 0]
-        traj = evolve.integrate(liou, rho0, ts[-1], t_eval=grid, model=name)
-        states = ([rho0] if ts[0] == 0.0 else []) + list(traj.states)
-        rho = models.DensityMatrix(np.stack([s.matrix for s in states]), Basis.BARE)
+        rho = evolve.integrate(liou, rho0, ts[-1], t_eval=ts, model=name).states
     else:  # phenom model with the gaussian profile: n-step product
         rho0 = cf.initial_excited_state(Basis.BARE)
         n = int(config["nstep"])
@@ -433,9 +432,10 @@ def cmd_verify(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, writes_csv: bool = False):
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("-o", "--output", help="output CSV path (default: stdout)")
+    if writes_csv:
+        p.add_argument("-o", "--output", help="output CSV path (default: stdout)")
     p.add_argument("--model", choices=_MODELS)
     p.add_argument("--omega0", type=float, help="resonance frequency (rad/s)")
     p.add_argument("--g", type=float, help="peak coupling (rad/s)")
@@ -476,22 +476,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="tabulate p_g(t) and the state elements")
-    _add_common(p)
+    _add_common(p, writes_csv=True)
     p.add_argument("--sweep", help="fan out over a parameter: name=a:b:n")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("energy", help="tabulate the mean-energy decay curve")
-    _add_common(p)
+    _add_common(p, writes_csv=True)
     p.add_argument("--sweep")
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("entangle", help="tabulate the partial-transpose spectrum")
-    _add_common(p)
+    _add_common(p, writes_csv=True)
     p.add_argument("--sweep")
     p.set_defaults(func=cmd_entangle)
 
     p = sub.add_parser("fit-rabi", help="fit model parameters to p_g data")
-    _add_common(p)
+    _add_common(p, writes_csv=True)
     p.add_argument("--data", required=True, help="CSV with header t_us,p_g[,sigma]")
     p.add_argument("--free", default="gamma1,gamma3",
                    help="comma list from gamma1,gamma2,gamma3,delta_t")

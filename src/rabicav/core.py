@@ -85,7 +85,8 @@ class DensityMatrix:
     ``matrix`` is one ``(d, d)`` matrix or a ``(N, d, d)`` stack of them, e.g.
     a state at every point of a time grid; the basis and note apply to every
     member.  For a stack the defect properties hold one value per member and
-    a failed check names the first failing index.
+    a failed check names the first failing index; ``len`` and indexing give
+    its size and members (both raise ``TypeError`` on a single matrix).
 
     ``note`` is a diagnostic tag set by producers (e.g. ``"hyperbolic"`` for
     the overdamped analytic continuation, ``"fallback"`` for numeric
@@ -116,6 +117,18 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
+
+    def _stack(self) -> np.ndarray:
+        if self.matrix.ndim != 3:
+            raise TypeError("a single density matrix is not a stack")
+        return self.matrix
+
+    def __len__(self) -> int:
+        return len(self._stack())
+
+    def __getitem__(self, i: int) -> "DensityMatrix":
+        """Member ``i`` of a stack, as its own state (checked again on construction)."""
+        return DensityMatrix(self._stack()[i], self.basis, self.note)
 
     @property
     def trace_defect(self):

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DensityMatrix, TRAJECTORY_TOL, ValidationError
+from .core import DensityMatrix, ValidationError
 from .models import (
     Liouvillian, ModelKind, PhysicalParams, build_liouvillian,
     ground_state_probability, vec, unvec,
@@ -69,10 +69,13 @@ def true_time(t_eff, geom: CavityGeometry):
 
 @dataclass(eq=False)
 class Trajectory:
-    """Time-stamped density matrices from a single integration."""
+    """Time-stamped density matrices from a single integration.
+
+    ``states`` is one ``(N, d, d)`` stack, a state per entry of ``times``.
+    """
 
     times: np.ndarray
-    states: list[DensityMatrix]
+    states: DensityMatrix
     model: str
 
     def __post_init__(self):
@@ -83,7 +86,7 @@ class Trajectory:
             raise ValidationError("times and states length mismatch")
 
     def ground_state_probability(self) -> np.ndarray:
-        return np.array([ground_state_probability(s) for s in self.states])
+        return ground_state_probability(self.states)
 
 
 class StepUnderflowError(RuntimeError):
@@ -94,19 +97,21 @@ class StepUnderflowError(RuntimeError):
         self.time = time
 
 
-# Dormand-Prince 5(4) tableau.
+# Dormand-Prince 5(4) tableau; row i of _A holds the weights of stages
+# 0..i-1 (zero-padded), and its last row is the 5th-order solution.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+_A = np.array((
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0),
+    (44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-# Error coefficients: b(5th order) - b(4th order).
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+))
+# Error coefficients: b(5th order) - b(4th order), one per stage.
+_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+               -1 / 40))[:, None]
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 5.0
 
@@ -126,8 +131,9 @@ def integrate(liouvillian: Liouvillian | Callable[[float], Liouvillian],
 
     ``liouvillian`` is either a fixed generator or a callable of time (for a
     coupling that follows the mode profile).  States are recorded at the
-    strictly increasing times in ``t_eval`` (default: just t_end), and each
-    recorded state is held to the trajectory drift budget.
+    strictly increasing times in ``t_eval`` (default: just t_end).  The
+    recorded states form one stack, held to the trajectory drift budget when
+    the run ends; a failure names the first bad state (``state i: ...``).
     """
     if t_end < 0:
         raise ValidationError("t_end must be >= 0")
@@ -151,62 +157,61 @@ def integrate(liouvillian: Liouvillian | Callable[[float], Liouvillian],
     if np.any(np.diff(t_eval) <= 0) or np.any(t_eval < 0) or (t_eval.size and t_eval[-1] > t_end * (1 + 1e-12) + 1e-300):
         raise ValidationError("t_eval must be increasing and within [0, t_end]")
 
-    out_times: list[float] = []
-    out_states: list[DensityMatrix] = []
+    # Recorded vectors; the trajectory validates them as one stack at the end.
+    recorded: list[np.ndarray] = []
 
-    def record(t: float, v: np.ndarray):
-        state = DensityMatrix(unvec(v), basis)
-        state.validate(TRAJECTORY_TOL, TRAJECTORY_TOL, TRAJECTORY_TOL)
-        out_times.append(t)
-        out_states.append(state)
+    def trajectory() -> Trajectory:
+        d = rho0.dim
+        stack = np.reshape(recorded, (-1, d, d)).swapaxes(1, 2)  # unvec per row
+        return Trajectory(t_eval, DensityMatrix(stack, basis), model)
 
     t = 0.0
     y = vec(rho0.matrix)
     targets = list(t_eval)
     if targets and targets[0] == 0.0:
-        record(0.0, y)
+        recorded.append(y)
         targets.pop(0)
 
     if not targets:
-        return Trajectory(np.array(out_times), out_states, model)
+        return trajectory()
 
-    k1 = rhs(t, y)
+    k = np.empty((7, y.size), dtype=complex)
+    k[0] = rhs(t, y)
     # Initial step guess from the scaled sizes of y and f.
     d0 = float(np.max(np.abs(y))) or 1.0
-    d1 = float(np.max(np.abs(k1)))
+    d1 = float(np.max(np.abs(k[0])))
     h = min(targets[-1] - t, 0.01 * d0 / d1 if d1 > 0 else targets[-1])
     h_min_floor = 1e-15
 
-    k = [np.empty_like(y) for _ in range(7)]
     while targets:
         t_next_out = targets[0]
         h = min(h, t_next_out - t)
         if h < h_min_floor * max(t, t_next_out, 1e-30):
             raise StepUnderflowError(t)
-        k[0] = k1
-        for i in range(1, 7):
-            yi = y + h * sum(aij * k[j] for j, aij in enumerate(_A[i]))
-            k[i] = rhs(t + _C[i] * h, yi)
-        y_new = y + h * sum(aij * k[j] for j, aij in enumerate(_A[6]))
-        # FSAL: stage 7 is f at the new point, reused as next step's k1.
-        k7 = rhs(t + h, y_new)
-        err = h * (sum(e * k[j] for j, e in enumerate(_E[:6])) + _E[6] * k7)
+        # Axis-0 sums add the stage terms left to right, as a scalar loop
+        # does; a matrix product would reorder them and move the last bits.
+        for i in range(1, 6):
+            k[i] = rhs(t + _C[i] * h, y + h * (_A[i, :i, None] * k[:i]).sum(axis=0))
+        y_new = y + h * (_A[6, :, None] * k[:6]).sum(axis=0)
+        # FSAL: the last stage is f at the new point, reused as next step's first.
+        k[6] = rhs(t + h, y_new)
+        err = h * (_E * k).sum(axis=0)
         norm = _error_norm(err, y, y_new, rtol, atol)
         if not np.isfinite(norm):
             norm = np.inf
         if norm <= 1.0:
             t = t + h
             y = y_new
-            k1 = k7
+            k[0] = k[6]
             if t >= t_next_out - 1e-15 * max(1.0, abs(t_next_out)):
-                record(t_next_out, y)
+                recorded.append(y)
                 targets.pop(0)
             factor = _MAX_FACTOR if norm == 0 else min(_MAX_FACTOR, _SAFETY * norm ** -0.2)
             h *= max(factor, 1.0)
         else:
             h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
 
-    return Trajectory(np.array(out_times), out_states, model)
+    return trajectory()
 
 
 def _coupling_family(kind: ModelKind, params: PhysicalParams):
@@ -236,14 +241,21 @@ def gaussian_liouvillian(kind: ModelKind, params: PhysicalParams,
     return at
 
 
+# Generators per batched eig/solve in nstep_propagate: large enough to
+# amortise the Python overhead, small enough to bound the workspace.
+_NSTEP_CHUNK = 1024
+
+
 def nstep_propagate(kind: ModelKind, params: PhysicalParams,
                     geom: CavityGeometry | None, rho0: DensityMatrix,
                     t: float, n: int) -> DensityMatrix:
     """Product of n frozen-coupling propagators exp(L(g_j) dt), dt = t/n.
 
     The coupling is sampled at interval midpoints; with ``geom`` absent the
-    profile is constant.  Each factor is applied by eigen-propagation of the
-    frozen generator.
+    profile is constant.  Each distinct coupling's propagator
+    V diag(e^{lambda dt}) V^-1 is built once by eigen-decomposition, in
+    batches of ``_NSTEP_CHUNK`` generators, and the factors are then applied
+    in order.
     """
     if not isinstance(n, int) or n < 1:
         raise ValidationError("n must be a positive integer")
@@ -261,16 +273,18 @@ def nstep_propagate(kind: ModelKind, params: PhysicalParams,
     else:
         gs = np.array([gaussian_coupling(params.g, geom, t, tm) for tm in mids])
 
-    v = vec(rho0.matrix)
-    # Eigen-propagate each frozen factor; identical couplings share one
-    # decomposition (constant-profile products then cost a single eig).
+    # The profile is symmetric, so about half the couplings repeat (a
+    # constant profile needs a single propagator).
     unique_gs, inverse = np.unique(gs, return_inverse=True)
-    stack = l0[None, :, :] + unique_gs[:, None, None] * slope[None, :, :]
-    lam, vmat = np.linalg.eig(stack)
-    phase = np.exp(lam * dt)
-    for idx in inverse:
-        w = np.linalg.solve(vmat[idx], v)
-        v = vmat[idx] @ (phase[idx] * w)
-    state = DensityMatrix(unvec(v), basis)
-    state.validate(TRAJECTORY_TOL, TRAJECTORY_TOL, TRAJECTORY_TOL)
-    return state
+    props = np.empty((unique_gs.size,) + l0.shape, dtype=complex)
+    for lo in range(0, unique_gs.size, _NSTEP_CHUNK):
+        chunk = unique_gs[lo:lo + _NSTEP_CHUNK]
+        lam, vmat = np.linalg.eig(l0 + chunk[:, None, None] * slope)
+        scaled = vmat * np.exp(lam * dt)[:, None, :]
+        # P = V D V^-1, i.e. P^T = solve(V^T, (V D)^T).
+        props[lo:lo + chunk.size] = np.linalg.solve(
+            vmat.swapaxes(1, 2), scaled.swapaxes(1, 2)).swapaxes(1, 2)
+    v = vec(rho0.matrix)
+    for idx in inverse.tolist():
+        v = props[idx] @ v
+    return DensityMatrix(unvec(v), basis)

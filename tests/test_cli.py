@@ -295,9 +295,29 @@ def test_davies_check_command(capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "energy", "fit-q"])
 def test_negative_times_are_validation_errors(tmp_path, command, capsys):
+    # fit-q writes no CSV, so it takes no -o
+    output = () if command == "fit-q" else ("-o", str(tmp_path / "out.csv"))
     assert run_cli(command, "--start-us", "-3", "--end-us", "0", "--step-us", "1",
-                   "-o", str(tmp_path / "out.csv")) == cli.EXIT_VALIDATION
+                   *output) == cli.EXIT_VALIDATION
     assert "t must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--profile", "gaussian", "--delta-t-us", "-1", "--end-us", "2"), "delta_t must be >= 0"),
+    (("--model", "phenom-t", "--start-us", "-3", "--end-us", "2"), "t_eval must be"),
+])
+def test_simulate_rejects_negative_inputs(tmp_path, argv, message, capsys):
+    out = tmp_path / "out.csv"
+    assert run_cli("simulate", *argv, "-o", str(out)) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit-q", "davies-check"])
+def test_output_flag_only_on_csv_commands(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "-o", str(tmp_path / "x.csv"))
+    assert exc.value.code == cli.EXIT_USAGE
 
 
 def test_energy_rejects_negative_spread(tmp_path):

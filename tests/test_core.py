@@ -149,3 +149,27 @@ def test_density_matrix_rejects_bad_stack_shapes():
         DensityMatrix(np.zeros((2, 2, 3, 3), dtype=complex), Basis.BARE)
     with pytest.raises(ValidationError):
         DensityMatrix(np.zeros((2, 3, 4), dtype=complex), Basis.BARE)
+
+
+def test_density_matrix_stack_len_and_members():
+    stack = _good_stack(4)
+    stack[1] = np.diag([1.0, 0.0, 0.0])
+    rho = DensityMatrix(stack, Basis.BARE, note="fallback")
+    assert len(rho) == 4
+    for i in range(-4, 4):
+        member = rho[i]
+        assert member.matrix.shape == (3, 3) and member.basis is Basis.BARE
+        assert member.note == "fallback"
+        assert np.array_equal(member.matrix, stack[i])
+    assert [m.min_eigenvalue for m in rho] == pytest.approx(list(rho.min_eigenvalue), abs=0)
+    with pytest.raises(IndexError):
+        rho[4]
+    assert len(DensityMatrix(np.zeros((0, 3, 3)), Basis.BARE)) == 0
+
+
+def test_single_density_matrix_is_not_a_stack():
+    rho = DensityMatrix(_good_stack(1)[0], Basis.BARE)
+    with pytest.raises(TypeError):
+        len(rho)
+    with pytest.raises(TypeError):
+        rho[0]

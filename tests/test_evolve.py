@@ -48,6 +48,27 @@ def test_integrate_matches_scipy_oracle(params, paper_rates):
     assert np.max(np.abs(traj.states[-1].matrix - ref)) <= 1e-8
 
 
+def test_integrate_states_are_one_stack(params):
+    liou = models.build_liouvillian(models.PhenomT0(0.3 * params.g), params)
+    rho0 = cf.initial_excited_state(Basis.BARE)
+    ts = np.array([0.0, 1e-5, 3e-5])
+    traj = evolve.integrate(liou, rho0, ts[-1], t_eval=ts)
+    assert traj.states.matrix.shape == (3, 3, 3) and len(traj.states) == 3
+    assert np.array_equal(traj.states[0].matrix, rho0.matrix)
+    assert np.array_equal(traj.ground_state_probability(),
+                          [models.ground_state_probability(s) for s in traj.states])
+    empty = evolve.integrate(liou, rho0, 1e-5, t_eval=[])
+    assert empty.times.size == 0 and len(empty.states) == 0
+
+
+def test_integrate_names_the_first_state_off_budget(params):
+    # -gamma*I drains the trace, so a recorded state breaks the drift budget
+    leaky = models.Liouvillian(-1e3 * np.eye(9, dtype=complex), Basis.BARE)
+    rho0 = cf.initial_excited_state(Basis.BARE)
+    with pytest.raises(ValidationError, match=r"^state 1: trace defect"):
+        evolve.integrate(leaky, rho0, 1e-5, t_eval=[0.0, 1e-6, 1e-5])
+
+
 def test_integrate_rejects_basis_mismatch(params):
     liou = models.build_liouvillian(models.PhenomT0(1.0), params)
     rho0 = cf.initial_excited_state(Basis.DRESSED)
@@ -143,6 +164,36 @@ def test_nstep_factors_preserve_trace_and_positivity(params, paper_rates, geomet
         state = DensityMatrix(models.unvec(v), Basis.DRESSED)
         assert state.trace_defect <= 1e-9
         assert state.min_eigenvalue >= -1e-9
+
+
+def _nstep_reference(kind, params, geometry, rho0, t, n):
+    # one eig per distinct frozen generator, one solve per factor, in order
+    l0, slope, _ = evolve._coupling_family(kind, params)
+    dt = t / n
+    v = models.vec(rho0.matrix)
+    eigs = {}
+    for j in range(n):
+        g_j = evolve.gaussian_coupling(params.g, geometry, t, (j + 0.5) * dt)
+        if g_j not in eigs:
+            eigs[g_j] = np.linalg.eig(l0 + g_j * slope)
+        lam, vmat = eigs[g_j]
+        v = vmat @ (np.exp(lam * dt) * np.linalg.solve(vmat, v))
+    return models.unvec(v)
+
+
+@pytest.mark.parametrize("n", [37, 2051, 4099])  # the larger two span several batches
+@pytest.mark.parametrize("model", ["open-cavity", "phenom-t0"])
+def test_nstep_batched_propagators_match_per_factor_solves(params, paper_rates, geometry,
+                                                           model, n):
+    if model == "open-cavity":
+        kind, basis = models.OpenCavity(paper_rates), Basis.DRESSED
+    else:
+        kind, basis = models.PhenomT0(0.3 * params.g), Basis.BARE
+    rho0 = cf.initial_excited_state(basis)
+    t = 200e-6
+    state = evolve.nstep_propagate(kind, params, geometry, rho0, t, n)
+    reference = _nstep_reference(kind, params, geometry, rho0, t, n)
+    assert np.max(np.abs(state.matrix - reference)) <= 1e-10
 
 
 def test_nstep_validation(params, paper_rates):

@@ -1,7 +1,9 @@
 """Byte-identity of the CLI's CSV output on small grids.
 
 Each digest is the sha256 of a CSV written before the state producers were
-batched, when every point was computed by its own scalar call.  A change in
+batched, when every point was computed by its own scalar call; the phenom-t
+digest pins the adaptive Runge-Kutta path as it was before its stages were
+combined as one array.  A change in
 the last bit of any value, or in the sign of a zero, changes the digest.
 The digests were taken with numpy 2.4 and glibc's libm on x86-64 Linux
 (AVX-512); a platform whose exp, cos or hypot rounds differently gives
@@ -42,6 +44,8 @@ CASES = {
     "microscopic-gaussian": (
         ("simulate", "--model", "microscopic", "--profile", "gaussian", *_GRID),
         "62047f94b59cd9df43acc1e172244ffea02108234d8cc5caf67c51b21b2b5100"),
+    "phenom-t": (("simulate", "--model", "phenom-t", *_GRID),
+                 "9eb1936345d07facc4766604a4cea0ea9efda60f40fe82aadf951607b1458d19"),
     "degenerate": (("simulate", *_DEGENERATE, *_GRID),
                    "88e83f83c5cc0af029f8d84838aeb3d4b4872eb1234e44ee0a480c37400fe3de"),
     "degenerate-gaussian": (
