@@ -71,7 +71,7 @@ def _oracle_runs():
     liou = models.build_liouvillian(kind, p)
     rho0 = cf.initial_excited_state(Basis.BARE)
     traj = evolve.integrate(liou, rho0, ts[-1], t_eval=ts, model="phenom-t0")
-    closed = np.array([1.0 - cf.phenom_T0_probs(g, kind.gamma, t)[0] for t in ts])
+    closed = 1.0 - cf.phenom_T0_rho(g, kind.gamma, ts).matrix[:, 0, 0].real
     runs["phenom-t0"] = (closed, traj.ground_state_probability(), traj)
 
     kind = models.PhenomT.from_temperature(0.3 * g, p)

@@ -1,7 +1,9 @@
 """Command-line front end: simulate, fit and verify from a JSON config.
 
-Every config field has a flag override; outputs are plain CSV written with
-shortest round-trip decimals so identical inputs give byte-identical files.
+Every field of :class:`RunConfig` is a JSON config key with a flag override
+(``output`` is ``-o/--output``, on the commands that write a CSV); outputs
+are plain CSV written with shortest round-trip decimals so identical inputs
+give byte-identical files.
 Units at the boundary: microseconds for times, angular rates (1/s) for the
 gammas, millimeters for the geometry, rad/s for omega0 and g.
 
@@ -13,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,100 +34,140 @@ class ConfigError(Exception):
     """Malformed configuration (unknown field, bad type, unknown model)."""
 
 
-_G_DEFAULT = 47.0 * np.pi * 1e3
-
-DEFAULT_CONFIG = {
-    "model": "open-cavity",
-    "omega0": 2.0 * np.pi * 51.099e9,
-    "g": _G_DEFAULT,
-    "temperature": 0.8,
-    "eps": 0.0466,
-    "gamma": 0.3 * _G_DEFAULT,    # phenom-t0 / phenom-t downward rate
-    "gamma_up": None,             # phenom-t upward rate; None = detailed balance
-    "gamma1": 17.73,
-    "gamma2": 17.73,
-    "gamma3": 0.07 * _G_DEFAULT,
-    "waist_mm": 5.96,
-    "diameter_mm": 50.0,
-    "profile": "constant",
-    "delta_t_us": 0.0,
-    "start_us": 0.0,
-    "end_us": 430.0,
-    "step_us": 1.0,
-    "nstep": 2001,             # n-step factor count for phenom + gaussian
-    "output": None,
-    "time_convention": "true",
-}
-
 _MODELS = ("phenom-t0", "phenom-t", "microscopic", "open-cavity")
+_G = models.PhysicalParams.g
+# Value type of each annotation a RunConfig field may carry.
+_TYPES = {"float": float, "int": int, "str": str}
 
 
-def load_config(path: str | None, overrides: dict) -> dict:
-    config = dict(DEFAULT_CONFIG)
-    if path is not None:
+def _field(default, help: str, choices: tuple[str, ...] | None = None):
+    return field(default=default, metadata={"help": help, "choices": choices})
+
+
+def _kind(f) -> tuple[type, bool]:
+    """The value type of RunConfig field ``f`` and whether it may be None."""
+    name, _, rest = f.type.partition(" | ")
+    return _TYPES[name], rest == "None"
+
+
+def _typed(f, value):
+    """``value`` as field ``f`` holds it: an int widened for a float field.
+
+    Raises ConfigError naming the field for a wrong type (a bool is no
+    number), a value outside the field's choices, or a NaN or infinity.
+    """
+    kind, nullable = _kind(f)
+    if value is None and nullable:
+        return None
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        wanted = kind.__name__ + (" or null" if nullable else "")
+        raise ConfigError(f"config field {f.name!r} must be {wanted}, got {value!r}")
+    choices = f.metadata["choices"]
+    if choices is not None and value not in choices:
+        raise ConfigError(f"config field {f.name!r} must be one of {choices}, got {value!r}")
+    if kind is float:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                user = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON (line {exc.lineno}, "
-                              f"column {exc.colno}): {exc.msg}")
-        if not isinstance(user, dict):
-            raise ConfigError("config root must be a JSON object")
-        for key, value in user.items():
-            if key not in DEFAULT_CONFIG:
+            value = float(value)
+        except OverflowError:   # an int beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"config field {f.name!r} must be finite, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Every setting of a run, as the JSON config and the ``--flag`` overrides
+    name it (``--gamma-up`` sets ``gamma_up``).
+
+    Construction types and checks each field and raises ConfigError (exit 2)
+    on a wrong type, a NaN or infinity, a non-positive omega0, g or step_us,
+    or end_us <= start_us.  Checks that need the physics (negative rates,
+    times or spreads) stay where the physics is computed (exit 3).
+    """
+
+    model: str = _field("open-cavity", "master-equation model", _MODELS)
+    omega0: float = _field(models.PhysicalParams.omega0, "resonance frequency (rad/s)")
+    g: float = _field(_G, "peak coupling (rad/s)")
+    temperature: float = _field(models.PhysicalParams.temperature, "cavity temperature (K)")
+    eps: float = _field(0.0466, "thermal up/down ratio")
+    gamma: float = _field(0.3 * _G, "phenom-t0 / phenom-t downward rate (1/s)")
+    gamma_up: float | None = _field(None, "phenom-t upward rate (1/s); "
+                                          "default: detailed balance")
+    gamma1: float = _field(17.73, "dressed decay rate gamma1 (1/s)")
+    gamma2: float = _field(17.73, "dressed decay rate gamma2 (1/s)")
+    gamma3: float = _field(0.07 * _G, "intra-manifold rate gamma3 (1/s)")
+    waist_mm: float = _field(5.96, "Gaussian mode waist (mm)")
+    diameter_mm: float = _field(50.0, "mirror diameter (mm)")
+    profile: str = _field("constant", "coupling profile", ("constant", "gaussian"))
+    delta_t_us: float = _field(0.0, "time-uncertainty spread (us)")
+    start_us: float = _field(0.0, "first time of the grid (us)")
+    end_us: float = _field(430.0, "last time of the grid (us)")
+    step_us: float = _field(1.0, "grid step (us)")
+    nstep: int = _field(2001, "n-step factors per point (phenom models, gaussian profile)")
+    time_convention: str = _field("true", "time axis of data and fits", ("true", "effective"))
+    output: str | None = _field(None, "output CSV path (default: stdout)")
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _typed(f, getattr(self, f.name)))
+        for name in ("omega0", "g", "step_us"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"config field {name!r} must be a positive number")
+        if self.end_us <= self.start_us:
+            raise ConfigError("end_us must be greater than start_us")
+        if self.output == "":
+            raise ConfigError("config field 'output' must be a path, got ''")
+
+    @classmethod
+    def load(cls, args) -> RunConfig:
+        """Defaults, overlaid by the JSON file ``args.config``, then by the flags given."""
+        values = {}
+        if args.config is not None:
+            try:
+                with open(args.config, "r", encoding="utf-8") as fh:
+                    values = json.load(fh)
+            except OSError as exc:
+                raise ConfigError(f"cannot read config: {exc}")
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config is not valid JSON (line {exc.lineno}, "
+                                  f"column {exc.colno}): {exc.msg}")
+            if not isinstance(values, dict):
+                raise ConfigError("config root must be a JSON object")
+        known = {f.name: f for f in fields(cls)}
+        for key, value in values.items():
+            if key not in known:
                 raise ConfigError(f"unknown config field {key!r}")
-            config[key] = value
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
-    if config["model"] not in _MODELS:
-        raise ConfigError(f"unknown model {config['model']!r}; expected one of {_MODELS}")
-    if config["profile"] not in ("constant", "gaussian"):
-        raise ConfigError("profile must be 'constant' or 'gaussian'")
-    if config["time_convention"] not in ("true", "effective"):
-        raise ConfigError("time_convention must be 'true' or 'effective'")
-    for key in ("omega0", "g", "step_us"):
-        if not isinstance(config[key], (int, float)) or config[key] <= 0:
-            raise ConfigError(f"config field {key!r} must be a positive number")
-    if config["end_us"] <= config["start_us"]:
-        raise ConfigError("end_us must be greater than start_us")
-    return config
+            _typed(known[key], value)   # a bad file value fails even under a flag
+        for name in known:
+            if getattr(args, name, None) is not None:
+                values[name] = getattr(args, name)
+        return cls(**values)
 
+    def params(self) -> models.PhysicalParams:
+        return models.PhysicalParams(omega0=self.omega0, g=self.g, temperature=self.temperature)
 
-def _params(config: dict) -> models.PhysicalParams:
-    return models.PhysicalParams(omega0=float(config["omega0"]), g=float(config["g"]),
-                                 temperature=float(config["temperature"]))
+    def geometry(self) -> evolve.CavityGeometry:
+        return evolve.CavityGeometry(waist=self.waist_mm * 1e-3, diameter=self.diameter_mm * 1e-3)
 
+    def rates(self) -> models.DecayRates:
+        return models.DecayRates.simplified(self.gamma1, self.gamma2, self.gamma3, self.eps)
 
-def _geometry(config: dict) -> evolve.CavityGeometry:
-    return evolve.CavityGeometry(waist=float(config["waist_mm"]) * 1e-3,
-                                 diameter=float(config["diameter_mm"]) * 1e-3)
+    def model_kind(self) -> models.ModelKind:
+        if self.model == "phenom-t0":
+            return models.PhenomT0(self.gamma)
+        if self.model == "phenom-t":
+            if self.gamma_up is None:
+                return models.PhenomT.from_temperature(self.gamma, self.params())
+            return models.PhenomT(self.gamma, self.gamma_up)
+        if self.model == "microscopic":
+            return models.Microscopic(self.gamma1, self.gamma2)
+        return models.OpenCavity(self.rates())
 
-
-def _rates(config: dict) -> models.DecayRates:
-    return models.DecayRates.simplified(float(config["gamma1"]), float(config["gamma2"]),
-                                        float(config["gamma3"]), float(config["eps"]))
-
-
-def _model_kind(config: dict, params: models.PhysicalParams) -> models.ModelKind:
-    name = config["model"]
-    if name == "phenom-t0":
-        return models.PhenomT0(float(config["gamma"]))
-    if name == "phenom-t":
-        if config["gamma_up"] is None:
-            return models.PhenomT.from_temperature(float(config["gamma"]), params)
-        return models.PhenomT(float(config["gamma"]), float(config["gamma_up"]))
-    if name == "microscopic":
-        return models.Microscopic(float(config["gamma1"]), float(config["gamma2"]))
-    return models.OpenCavity(_rates(config))
-
-
-def _grid_us(config: dict) -> np.ndarray:
-    start, end, step = (float(config[k]) for k in ("start_us", "end_us", "step_us"))
-    n = int(round((end - start) / step))
-    return start + step * np.arange(n + 1)
+    def grid_us(self) -> np.ndarray:
+        n = int(round((self.end_us - self.start_us) / self.step_us))
+        return self.start_us + self.step_us * np.arange(n + 1)
 
 
 def fmt(value) -> str:
@@ -213,14 +257,14 @@ def parse_sweep(spec: str | None):
     return name, values
 
 
-def _sweep_rows(config: dict, sweep, worker) -> tuple[list[str], np.ndarray]:
+def _sweep_rows(config: RunConfig, sweep, worker) -> tuple[list[str], np.ndarray]:
     """Run ``worker(config) -> (header, rows)`` over the sweep values in order."""
     if sweep is None:
         return worker(config)
     name, values = sweep
     tables = []
     for v in values:
-        header, rows = worker({**config, name: float(v)})
+        header, rows = worker(replace(config, **{name: float(v)}))
         tables.append(np.column_stack([np.full(len(rows), v), rows]))
     return ["sweep_" + name] + header, np.vstack(tables)
 
@@ -229,14 +273,14 @@ def _sweep_rows(config: dict, sweep, worker) -> tuple[list[str], np.ndarray]:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _simulate_rows(config: dict) -> tuple[list[str], np.ndarray]:
-    params = _params(config)
-    geom = _geometry(config) if config["profile"] == "gaussian" else None
-    kind = _model_kind(config, params)
-    delta_t = float(config["delta_t_us"]) * 1e-6
-    ts_us = _grid_us(config)
+def _simulate_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
+    params = config.params()
+    geom = config.geometry() if config.profile == "gaussian" else None
+    kind = config.model_kind()
+    delta_t = config.delta_t_us * 1e-6
+    ts_us = config.grid_us()
     ts = ts_us * 1e-6
-    name = config["model"]
+    name = config.model
 
     if delta_t < 0.0:
         raise ValidationError("delta_t must be >= 0")
@@ -248,7 +292,7 @@ def _simulate_rows(config: dict) -> tuple[list[str], np.ndarray]:
     elif name == "microscopic" and geom is None:
         rho = cf.microscopic_rho(params.g, kind.gamma1, kind.gamma2, ts)
     elif name == "open-cavity":
-        rho = cf.opencavity_rho(kind.rates, float(config["eps"]), params, ts, geometry=geom)
+        rho = cf.opencavity_rho(kind.rates, config.eps, params, ts, geometry=geom)
     elif name == "microscopic":  # gaussian profile, exact closed form
         factor = evolve.SQRT_PI * geom.waist / geom.diameter
         rho = cf.microscopic_rho(params.g * factor, kind.gamma1, kind.gamma2, ts)
@@ -258,17 +302,15 @@ def _simulate_rows(config: dict) -> tuple[list[str], np.ndarray]:
         rho = evolve.integrate(liou, rho0, ts[-1], t_eval=ts, model=name).states
     else:  # phenom model with the gaussian profile: n-step product
         rho0 = cf.initial_excited_state(Basis.BARE)
-        n = int(config["nstep"])
         states = [rho0 if t == 0.0 else
-                  evolve.nstep_propagate(kind, params, geom, rho0, t, n) for t in ts]
+                  evolve.nstep_propagate(kind, params, geom, rho0, t, config.nstep) for t in ts]
         rho = models.DensityMatrix(np.stack([s.matrix for s in states]), Basis.BARE)
 
     pg = models.ground_state_probability(rho)
     if delta_t > 0.0:
         if geom is None:
             raise ValidationError("time-uncertainty averaging uses the gaussian profile")
-        pg_conv = dephase.convolve_pg(kind.rates, float(config["eps"]), params, geom,
-                                      delta_t, ts)
+        pg_conv = dephase.convolve_pg(kind.rates, config.eps, params, geom, delta_t, ts)
     else:
         pg_conv = pg
     header = ["t_us", "p_g", "p_g_convolved", "rho_11", "rho_22", "rho_33",
@@ -278,44 +320,26 @@ def _simulate_rows(config: dict) -> tuple[list[str], np.ndarray]:
                                     m[:, 2, 2].real, m[:, 0, 1].real, m[:, 0, 1].imag])
 
 
-def cmd_simulate(args) -> int:
-    config = load_config(args.config, _overrides(args))
-    sweep = parse_sweep(args.sweep)
-    header, rows = _sweep_rows(config, sweep, _simulate_rows)
-    write_csv(args.output or config["output"], header, rows)
-    return EXIT_OK
-
-
-def _energy_rows(config: dict) -> tuple[list[str], np.ndarray]:
-    if config["model"] != "open-cavity":
+def _energy_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
+    if config.model != "open-cavity":
         raise ValidationError("energy curves are defined for the open-cavity model")
-    params = _params(config)
-    rates = _rates(config)
-    eps = float(config["eps"])
-    delta_t = float(config["delta_t_us"]) * 1e-6
-    ts_us = _grid_us(config)
+    params = config.params()
+    rates = config.rates()
+    delta_t = config.delta_t_us * 1e-6
+    ts_us = config.grid_us()
     ts = ts_us * 1e-6
-    omega = cf.energy_mean(rates, eps, params, ts)
-    conv = dephase.convolve_energy(rates, eps, params, delta_t, ts)
+    omega = cf.energy_mean(rates, config.eps, params, ts)
+    conv = dephase.convolve_energy(rates, config.eps, params, delta_t, ts)
     return ["t_us", "omega_bar", "omega_bar_convolved"], np.column_stack([ts_us, omega, conv])
 
 
-def cmd_energy(args) -> int:
-    config = load_config(args.config, _overrides(args))
-    sweep = parse_sweep(args.sweep)
-    header, rows = _sweep_rows(config, sweep, _energy_rows)
-    write_csv(args.output or config["output"], header, rows)
-    return EXIT_OK
-
-
-def _entangle_rows(config: dict) -> tuple[list[str], np.ndarray]:
-    if config["model"] != "open-cavity":
+def _entangle_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
+    if config.model != "open-cavity":
         raise ValidationError("the separability analysis is defined for the open-cavity model")
-    params = _params(config)
-    geom = _geometry(config) if config["profile"] == "gaussian" else None
-    ts_us = _grid_us(config)
-    rho_d = cf.opencavity_rho(_rates(config), float(config["eps"]), params, ts_us * 1e-6,
-                              geometry=geom)
+    params = config.params()
+    geom = config.geometry() if config.profile == "gaussian" else None
+    ts_us = config.grid_us()
+    rho_d = cf.opencavity_rho(config.rates(), config.eps, params, ts_us * 1e-6, geometry=geom)
     rho_b = models.dressed_transform(rho_d, Basis.BARE)
     spec = entangle.ppt_spectrum(entangle.embed4(rho_b))
     coh = rho_b.matrix[:, 0, 1]   # <e,0|rho|g,1>, as entangle.coherence_e0_g1 reports it
@@ -324,68 +348,64 @@ def _entangle_rows(config: dict) -> tuple[list[str], np.ndarray]:
     return header, np.column_stack([ts_us, spec, coh.real, coh.imag])
 
 
-def cmd_entangle(args) -> int:
-    config = load_config(args.config, _overrides(args))
-    sweep = parse_sweep(args.sweep)
-    header, rows = _sweep_rows(config, sweep, _entangle_rows)
-    write_csv(args.output or config["output"], header, rows)
+def cmd_tabulate(args) -> int:
+    """simulate, energy and entangle: the table of the row worker ``args.rows``."""
+    config = RunConfig.load(args)
+    header, rows = _sweep_rows(config, parse_sweep(args.sweep), args.rows)
+    write_csv(config.output, header, rows)
     return EXIT_OK
 
 
 def cmd_fit_rabi(args) -> int:
-    config = load_config(args.config, _overrides(args))
-    convention = fitting.TimeConvention(config["time_convention"])
+    config = RunConfig.load(args)
+    convention = fitting.TimeConvention(config.time_convention)
     series = ingest_series(args.data, convention)
-    params = _params(config)
-    geom = _geometry(config)
+    params = config.params()
+    geom = config.geometry()
     free = tuple(f.strip() for f in args.free.split(",") if f.strip())
     fit_config = fitting.RabiFitConfig(
-        params, geom, float(config["eps"]), gamma1=float(config["gamma1"]),
-        gamma2=float(config["gamma2"]), gamma3=float(config["gamma3"]),
-        delta_t=float(config["delta_t_us"]) * 1e-6)
+        params, geom, config.eps, gamma1=config.gamma1, gamma2=config.gamma2,
+        gamma3=config.gamma3, delta_t=config.delta_t_us * 1e-6)
     result = fitting.fit_rabi(series, fit_config, free, tie_gammas=args.tie_gammas)
     for name in free:
         err = result.stderr.get(name, float("nan"))
         print(f"{name} = {fmt(result.params[name])} +- {fmt(err)}")
     print(f"rss = {fmt(result.rss)}, iterations = {result.iterations}, "
           f"converged = {result.converged}")
-    if args.output:
+    if config.output is not None:
         t_true = (series.times if convention is fitting.TimeConvention.TRUE
                   else evolve.true_time(series.times, geom))
-        full = {"gamma1": float(config["gamma1"]), "gamma2": float(config["gamma2"]),
-                "gamma3": float(config["gamma3"]),
-                "delta_t": float(config["delta_t_us"]) * 1e-6}
+        full = {"gamma1": config.gamma1, "gamma2": config.gamma2, "gamma3": config.gamma3,
+                "delta_t": fit_config.delta_t}
         full.update(result.params)
         if args.tie_gammas:
             full["gamma2"] = full["gamma1"]
         rates = models.DecayRates.simplified(full["gamma1"], full["gamma2"],
-                                             full["gamma3"], float(config["eps"]))
-        fit_curve = dephase.convolve_pg(rates, float(config["eps"]), params, geom,
-                                        full["delta_t"], t_true)
-        write_csv(args.output, ["t_us", "p_g_data", "p_g_fit"],
+                                             full["gamma3"], config.eps)
+        fit_curve = dephase.convolve_pg(rates, config.eps, params, geom, full["delta_t"], t_true)
+        write_csv(config.output, ["t_us", "p_g_data", "p_g_fit"],
                   np.column_stack([series.times * 1e6, series.p_g, fit_curve]))
     return EXIT_OK if result.converged else EXIT_NOCONVERGE
 
 
 def cmd_fit_q(args) -> int:
-    config = load_config(args.config, _overrides(args))
-    params = _params(config)
-    geom = _geometry(config)
-    rates = _rates(config)
-    eps = float(config["eps"])
-    convention = fitting.TimeConvention(config["time_convention"])
-    ts = _grid_us(config) * 1e-6
+    config = RunConfig.load(args)
+    params = config.params()
+    geom = config.geometry()
+    rates = config.rates()
+    eps = config.eps
+    convention = fitting.TimeConvention(config.time_convention)
+    ts = config.grid_us() * 1e-6
     curve = cf.energy_mean(rates, eps, params, ts)
     if convention is fitting.TimeConvention.EFFECTIVE:
         ts = evolve.effective_time(ts, geom)
     q = fitting.fit_q(ts, curve, eps, params, convention)
-    gamma_back = fitting.rate_from_q(q, eps, params, convention,
-                                     geom if convention is fitting.TimeConvention.EFFECTIVE else None)
-    print(f"Q = {fmt(q)} ({config['time_convention']} time)")
-    print(f"gamma(Q) via the {config['time_convention']}-time identity = {fmt(gamma_back)}")
+    identity_geom = geom if convention is fitting.TimeConvention.EFFECTIVE else None
+    gamma_back = fitting.rate_from_q(q, eps, params, convention, identity_geom)
+    print(f"Q = {fmt(q)} ({config.time_convention} time)")
+    print(f"gamma(Q) via the {config.time_convention}-time identity = {fmt(gamma_back)}")
     if args.q_target is not None:
-        gamma_t = fitting.rate_from_q(args.q_target, eps, params, convention,
-                                      geom if convention is fitting.TimeConvention.EFFECTIVE else None)
+        gamma_t = fitting.rate_from_q(args.q_target, eps, params, convention, identity_geom)
         print(f"gamma(Q={fmt(args.q_target)}) = {fmt(gamma_t)}")
     return EXIT_OK
 
@@ -393,18 +413,17 @@ def cmd_fit_q(args) -> int:
 def cmd_davies_check(args) -> int:
     from . import davies
 
-    config = load_config(args.config, _overrides(args))
-    params = _params(config)
+    config = RunConfig.load(args)
+    params = config.params()
     alpha, beta = args.alpha, args.beta
     ops = davies.davies_decompose(alpha, beta, args.n_max, params)
     comm = davies.commutation_defect(ops, args.n_max, params)
-    w_down = {params.omega0 + params.g: float(config["gamma1"]) / alpha ** 2,
-              params.omega0 - params.g: float(config["gamma2"]) / alpha ** 2,
-              2.0 * params.g: 2.0 * float(config["gamma3"]) / beta ** 2}
-    weights = davies.SpectralWeights(w_down, float(config["temperature"]))
+    w_down = {params.omega0 + params.g: config.gamma1 / alpha ** 2,
+              params.omega0 - params.g: config.gamma2 / alpha ** 2,
+              2.0 * params.g: 2.0 * config.gamma3 / beta ** 2}
+    weights = davies.SpectralWeights(w_down, config.temperature)
     built = davies.assemble_generator(ops, weights, params)
-    mapped = models.DecayRates.kms(float(config["gamma1"]), float(config["gamma2"]),
-                                   float(config["gamma3"]), params)
+    mapped = models.DecayRates.kms(config.gamma1, config.gamma2, config.gamma3, params)
     target = models.build_liouvillian(models.OpenCavity(mapped), params)
     diff = float(np.max(np.abs(built.matrix - target.matrix)))
     tol = 1e-12 * max(1.0, mapped.total)
@@ -432,40 +451,16 @@ def cmd_verify(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, writes_csv: bool = False):
+def _add_config(p: argparse.ArgumentParser, writes_csv: bool = False):
+    """``--config`` and one flag per RunConfig field; ``-o`` only where a CSV is written."""
     p.add_argument("--config", help="JSON config file")
-    if writes_csv:
-        p.add_argument("-o", "--output", help="output CSV path (default: stdout)")
-    p.add_argument("--model", choices=_MODELS)
-    p.add_argument("--omega0", type=float, help="resonance frequency (rad/s)")
-    p.add_argument("--g", type=float, help="peak coupling (rad/s)")
-    p.add_argument("--temperature", type=float, help="cavity temperature (K)")
-    p.add_argument("--eps", type=float, help="thermal up/down ratio")
-    p.add_argument("--gamma", type=float, help="photon-model decay rate (1/s)")
-    p.add_argument("--gamma-up", type=float, dest="gamma_up")
-    p.add_argument("--gamma1", type=float)
-    p.add_argument("--gamma2", type=float)
-    p.add_argument("--gamma3", type=float)
-    p.add_argument("--waist-mm", type=float, dest="waist_mm")
-    p.add_argument("--diameter-mm", type=float, dest="diameter_mm")
-    p.add_argument("--profile", choices=("constant", "gaussian"))
-    p.add_argument("--delta-t-us", type=float, dest="delta_t_us")
-    p.add_argument("--start-us", type=float, dest="start_us")
-    p.add_argument("--end-us", type=float, dest="end_us")
-    p.add_argument("--step-us", type=float, dest="step_us")
-    p.add_argument("--nstep", type=int)
-    p.add_argument("--time-convention", choices=("true", "effective"),
-                   dest="time_convention")
-
-
-_OVERRIDE_KEYS = ("model", "omega0", "g", "temperature", "eps", "gamma", "gamma_up",
-                  "gamma1", "gamma2", "gamma3", "waist_mm", "diameter_mm", "profile",
-                  "delta_t_us", "start_us", "end_us", "step_us", "nstep",
-                  "time_convention")
-
-
-def _overrides(args) -> dict:
-    return {k: getattr(args, k, None) for k in _OVERRIDE_KEYS}
+    for f in fields(RunConfig):
+        if f.name == "output":
+            if writes_csv:
+                p.add_argument("-o", "--output", help=f.metadata["help"])
+            continue
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=_kind(f)[0],
+                       choices=f.metadata["choices"], help=f.metadata["help"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,23 +470,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulate, fit, analyze.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="tabulate p_g(t) and the state elements")
-    _add_common(p, writes_csv=True)
-    p.add_argument("--sweep", help="fan out over a parameter: name=a:b:n")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("energy", help="tabulate the mean-energy decay curve")
-    _add_common(p, writes_csv=True)
-    p.add_argument("--sweep")
-    p.set_defaults(func=cmd_energy)
-
-    p = sub.add_parser("entangle", help="tabulate the partial-transpose spectrum")
-    _add_common(p, writes_csv=True)
-    p.add_argument("--sweep")
-    p.set_defaults(func=cmd_entangle)
+    for name, rows, text in (("simulate", _simulate_rows, "p_g(t) and the state elements"),
+                             ("energy", _energy_rows, "the mean-energy decay curve"),
+                             ("entangle", _entangle_rows, "the partial-transpose spectrum")):
+        p = sub.add_parser(name, help="tabulate " + text)
+        _add_config(p, writes_csv=True)
+        p.add_argument("--sweep", help="fan out over a parameter: name=a:b:n")
+        p.set_defaults(func=cmd_tabulate, rows=rows)
 
     p = sub.add_parser("fit-rabi", help="fit model parameters to p_g data")
-    _add_common(p, writes_csv=True)
+    _add_config(p, writes_csv=True)
     p.add_argument("--data", required=True, help="CSV with header t_us,p_g[,sigma]")
     p.add_argument("--free", default="gamma1,gamma3",
                    help="comma list from gamma1,gamma2,gamma3,delta_t")
@@ -500,13 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit_rabi)
 
     p = sub.add_parser("fit-q", help="fit the quality factor to the energy decay")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--q-target", type=float, dest="q_target",
                    help="also invert the identity at this Q")
     p.set_defaults(func=cmd_fit_q)
 
     p = sub.add_parser("davies-check", help="verify the ladder-derived generator")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--n-max", type=int, default=3, dest="n_max")

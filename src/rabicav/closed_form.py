@@ -1,4 +1,4 @@
-"""Analytic solutions of the four models and the exponential-decay fit curves.
+"""Analytic solutions of the four models.
 
 The open-cavity model is solved through its damping basis: the generator's
 nine eigenoperators are known in closed form, the initial state |e,0><e,0|
@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -180,12 +179,6 @@ def phenom_T0_rho(g: float, gamma: float, t) -> DensityMatrix:
     return _state(r[:, :3], m01, -m01, Basis.BARE, t, "hyperbolic" if d2 > 0 else None)
 
 
-def phenom_T0_probs(g: float, gamma: float, t: float) -> tuple[float, float, float]:
-    """Populations (p_e0, p_g1, p_g0) of the T = 0 photon-loss model."""
-    rho = phenom_T0_rho(g, gamma, t).matrix
-    return (float(rho[0, 0].real), float(rho[1, 1].real), float(rho[2, 2].real))
-
-
 # ---------------------------------------------------------------------------
 # Dressed-state decay model (closed cavity)
 # ---------------------------------------------------------------------------
@@ -241,6 +234,18 @@ class DampingBasis:
     degenerate: bool
 
 
+def _gap(rates: DecayRates) -> tuple[complex | float, bool]:
+    """The eigenvalue gap S (real when S^2 >= 0) and whether it vanishes,
+    |S| <= 1e-12 times the total rate."""
+    g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
+    ga, gb, gc = rates.gamma_a, rates.gamma_b, rates.gamma_c
+    s2 = (g1 - g2 + g3 - ga - gb + gc) ** 2 + 4.0 * (g1 - g2) * (ga - gc)
+    s = cmath.sqrt(s2)
+    if s.imag == 0.0:
+        s = s.real
+    return s, abs(s) <= 1e-12 * rates.total
+
+
 def damping_basis(rates: DecayRates, params: PhysicalParams | None = None) -> DampingBasis:
     """Closed-form spectral decomposition of the open-cavity generator.
 
@@ -250,11 +255,7 @@ def damping_basis(rates: DecayRates, params: PhysicalParams | None = None) -> Da
     g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
     ga, gb, gc = rates.gamma_a, rates.gamma_b, rates.gamma_c
     total = rates.total
-    s2 = (g1 - g2 + g3 - ga - gb + gc) ** 2 + 4.0 * (g1 - g2) * (ga - gc)
-    s = cmath.sqrt(s2)
-    if s.imag == 0.0:
-        s = s.real
-    degenerate = abs(s) <= 1e-12 * total
+    s, degenerate = _gap(rates)
 
     lam = np.zeros(9, dtype=complex)
     lam[1] = -(total + s) / 4.0
@@ -426,11 +427,11 @@ def _population_decay(rates: DecayRates, eps: float):
     """Gap S and the decay rates kp, km; None for a vanishing gap.  kp, km equal
     -eigenvalues[1:3] but are formed in the rounding the curve digests pin."""
     _check_simplified(rates, eps)
-    basis = damping_basis(rates)
-    if basis.degenerate:
+    s, degenerate = _gap(rates)
+    if degenerate:
         return None
     g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
-    s = basis.s_value.real
+    s = s.real
     total = g1 + g2 + 2.0 * g3 + eps * (g1 + g2)
     return s, (total + s) / 4.0, (total - s) / 4.0
 
@@ -494,66 +495,3 @@ def energy_mean(rates: DecayRates, eps: float, params: PhysicalParams, t):
 
 def energy_mean_asymptote(eps: float, params: PhysicalParams) -> float:
     return 0.5 * params.omega0 * (2.0 * eps - 1.0) / (2.0 * eps + 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Exponentially damped Rabi fit curves with a thermal photon distribution
-# ---------------------------------------------------------------------------
-
-class RabiFitVariant(Enum):
-    """Time axis and damping convention of the damped-Rabi fit curve.
-
-    EFFECTIVE_TIME -- damping gamma*t_eff against the effective time axis
-    TRUE_TIME      -- damping gamma*t, oscillation at the effective coupling
-    RESCALED       -- effective axis with the damping rescaled by d/(sqrt(pi) w)
-    """
-
-    EFFECTIVE_TIME = "effective"
-    TRUE_TIME = "true"
-    RESCALED = "rescaled"
-
-
-def thermal_weights(nbar: float, tail: float = 1e-9) -> np.ndarray:
-    """Bose-Einstein photon-number weights, truncated and renormalized.
-
-    Truncation keeps cumulative weight >= 1 - ``tail``; renormalizing keeps
-    the fit-curve asymptote at exactly 1/2.
-    """
-    if nbar < 0:
-        raise ValidationError("nbar must be >= 0")
-    if nbar == 0.0:
-        return np.array([1.0])
-    ratio = nbar / (1.0 + nbar)
-    n_max = max(0, math.ceil(math.log(tail) / math.log(ratio)) - 1)
-    n = np.arange(n_max + 1)
-    w = ratio ** n / (1.0 + nbar)
-    return w / w.sum()
-
-
-def damped_rabi_fit(variant: RabiFitVariant, gamma: float, params: PhysicalParams,
-                    nbar: float, geom: CavityGeometry, t):
-    """Damped-Rabi fitting curve 1 - (1/2) sum_n P(n) (1 + e^{-k t} cos(2 g_n t)).
-
-    For EFFECTIVE_TIME and RESCALED the argument ``t`` is the effective time;
-    for TRUE_TIME it is the true time.  The asymptote is exactly 1/2.
-    """
-    if gamma < 0:
-        raise ValidationError("gamma must be >= 0")
-    w = thermal_weights(nbar)
-    n = np.arange(len(w))
-    factor = SQRT_PI * geom.waist / geom.diameter
-    ts = np.asarray(t, dtype=float)
-    scalar = ts.ndim == 0
-    ts = np.atleast_1d(ts)
-    if variant is RabiFitVariant.EFFECTIVE_TIME:
-        damp, g_osc = gamma, params.g
-    elif variant is RabiFitVariant.TRUE_TIME:
-        damp, g_osc = gamma, params.g * factor
-    elif variant is RabiFitVariant.RESCALED:
-        damp, g_osc = gamma / factor, params.g
-    else:
-        raise ValidationError(f"unknown variant {variant!r}")
-    phases = 2.0 * g_osc * np.sqrt(n + 1.0)[:, None] * ts[None, :]
-    series = (w[:, None] * (1.0 + np.exp(-damp * ts)[None, :] * np.cos(phases))).sum(axis=0)
-    out = 1.0 - 0.5 * series
-    return float(out[0]) if scalar else out

@@ -16,7 +16,7 @@ import numpy as np
 from .core import (
     Basis, DensityMatrix, ValidationError, elementwise, hermitian_eigen, partial_transpose,
 )
-from .closed_form import opencavity_rho
+from .closed_form import _phase_coupling, opencavity_rho
 from .evolve import CavityGeometry
 from .models import DecayRates, PhysicalParams, dressed_transform
 
@@ -103,7 +103,6 @@ def coherence_e0_g1(rates: DecayRates, eps: float, params: PhysicalParams,
     rho_d = opencavity_rho(rates, eps, params, t, geometry=geometry)
     rho_b = dressed_transform(rho_d, Basis.BARE)
     value = complex(rho_b.matrix[0, 1])
-    g_phase = params.g if geometry is None else (
-        params.g * math.sqrt(math.pi) * geometry.waist / geometry.diameter)
-    formula = coherence_formula(rates.gamma1, rates.gamma2, rates.gamma3, g_phase, t)
+    formula = coherence_formula(rates.gamma1, rates.gamma2, rates.gamma3,
+                                _phase_coupling(params, geometry), t)
     return CoherenceResult(value, formula, abs(value - formula))

@@ -342,22 +342,3 @@ def fit_rabi(series: ExperimentSeries, config: RabiFitConfig,
                          {n: base[n] for n in free},
                          {n: 0.0 for n in free})
     return levenberg_marquardt(problem)
-
-
-def dominant_angular_frequency(times: np.ndarray, values: np.ndarray) -> float:
-    """Rough oscillation frequency from zero crossings of the detrended signal.
-
-    Exposed for inspecting numeric runs (e.g. the profile-averaged Rabi
-    frequency of the photon-loss model); nothing in the package asserts
-    against it.
-    """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    y = y - y.mean()
-    sign = np.sign(y)
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if len(idx) < 2:
-        raise ValidationError("fewer than two zero crossings")
-    # Linear interpolation of each crossing time.
-    tc = t[idx] - y[idx] * (t[idx + 1] - t[idx]) / (y[idx + 1] - y[idx])
-    return math.pi / float(np.mean(np.diff(tc)))

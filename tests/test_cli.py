@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -179,6 +181,84 @@ def test_unknown_model_is_usage_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "heisenberg"}))
     assert run_cli("simulate", "--config", str(cfg)) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("config, argv, field", [
+    ({"gamma1": "abc"}, (), "gamma1"),
+    ({"end_us": "10"}, (), "end_us"),
+    ({"output": 5}, (), "output"),
+    ({"nstep": 2.5}, (), "nstep"),
+    ({"gamma1": True}, (), "gamma1"),
+    ({"gamma_up": "fast"}, (), "gamma_up"),
+    ({"profile": None}, (), "profile"),
+    ({"g": 10 ** 400}, (), "g"),
+    (None, ("--end-us", "inf"), "end_us"),
+    (None, ("--start-us", "nan"), "start_us"),
+    (None, ("--step-us", "nan"), "step_us"),
+    (None, ("--delta-t-us", "nan"), "delta_t_us"),
+    (None, ("--sweep", "gamma3=nan:1:2"), "gamma3"),
+])
+def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, config, argv, field):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ("--config", "cfg.json", *argv)
+    assert run_cli("simulate", *argv, "-o", "out.csv") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(field) in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config else [])
+
+
+# Every RunConfig field but output, as (dest, type, choices) of its flag.
+_CONFIG_FLAGS = {
+    "--model": ("model", str, ("phenom-t0", "phenom-t", "microscopic", "open-cavity")),
+    "--omega0": ("omega0", float, None), "--g": ("g", float, None),
+    "--temperature": ("temperature", float, None), "--eps": ("eps", float, None),
+    "--gamma": ("gamma", float, None), "--gamma-up": ("gamma_up", float, None),
+    "--gamma1": ("gamma1", float, None), "--gamma2": ("gamma2", float, None),
+    "--gamma3": ("gamma3", float, None), "--waist-mm": ("waist_mm", float, None),
+    "--diameter-mm": ("diameter_mm", float, None),
+    "--profile": ("profile", str, ("constant", "gaussian")),
+    "--delta-t-us": ("delta_t_us", float, None), "--start-us": ("start_us", float, None),
+    "--end-us": ("end_us", float, None), "--step-us": ("step_us", float, None),
+    "--nstep": ("nstep", int, None),
+    "--time-convention": ("time_convention", str, ("true", "effective")),
+}
+_TABLE_OPTIONS = {"-o", "--output", "--sweep"}
+
+
+@pytest.mark.parametrize("command, own", [
+    ("simulate", _TABLE_OPTIONS), ("energy", _TABLE_OPTIONS), ("entangle", _TABLE_OPTIONS),
+    ("fit-rabi", {"-o", "--output", "--data", "--free", "--tie-gammas"}),
+    ("fit-q", {"--q-target"}), ("davies-check", {"--alpha", "--beta", "--n-max"}),
+])
+def test_config_fields_and_flags_correspond(command, own):
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = commands.choices[command]._actions
+    names = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    flags = {opt: (a.dest, a.type, a.choices and tuple(a.choices))
+             for a in actions if a.dest in names - {"output"} for opt in a.option_strings}
+    assert flags == _CONFIG_FLAGS
+    assert {dest for dest, _, _ in flags.values()} == names - {"output"}
+    others = {opt for a in actions for opt in a.option_strings} - set(flags)
+    assert others == {"-h", "--help", "--config"} | own
+
+
+def test_fit_rabi_writes_the_config_output(tmp_path, params, paper_rates, geometry, capsys):
+    ts = np.arange(1.0, 41.0) * 1e-6
+    data = np.asarray(cf.opencavity_pg(paper_rates, 0.0466, params, ts, geometry=geometry))
+    path = tmp_path / "data.csv"
+    cli.emit_series(str(path), fitting.ExperimentSeries(ts, data, None,
+                                                        fitting.TimeConvention.TRUE))
+    out = tmp_path / "fit.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output": str(out)}))
+    assert run_cli("fit-rabi", "--config", str(cfg), "--data", str(path),
+                   "--free", "gamma3") == 0
+    header, rows = read_csv(out)
+    assert header == ["t_us", "p_g_data", "p_g_fit"]
+    assert rows.shape == (40, 3)
 
 
 def test_ingest_valid_file(tmp_path):

@@ -20,32 +20,32 @@ def _rk_state(kind, params, t, rtol=1e-11, atol=1e-13):
 # ---------------------------------------------------------------------------
 
 def test_phenom_initial_condition(params):
-    probs = cf.phenom_T0_probs(params.g, 0.3 * params.g, 0.0)
+    probs = cf.phenom_T0_rho(params.g, 0.3 * params.g, 0.0).matrix.diagonal().real
     assert probs == pytest.approx((1.0, 0.0, 0.0), abs=1e-14)
 
 
 def test_phenom_lossless_rabi(params):
     g = params.g
     for t in (0.2 / g, 1.7 / g, 11.0 / g):
-        p = cf.phenom_T0_probs(g, 0.0, t)
+        p = cf.phenom_T0_rho(g, 0.0, t).matrix.diagonal().real
         assert p[0] == pytest.approx(math.cos(g * t) ** 2, abs=1e-12)
         assert p[1] == pytest.approx(math.sin(g * t) ** 2, abs=1e-12)
         assert p[2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_phenom_half_rabi_period(params):
-    p = cf.phenom_T0_probs(params.g, 0.0, math.pi / (2.0 * params.g))
+    p = cf.phenom_T0_rho(params.g, 0.0, math.pi / (2.0 * params.g)).matrix.diagonal().real
     assert p == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
 
 
 def test_phenom_probabilities_sum_to_one(params):
     for t in (1e-6, 17e-6, 230e-6):
-        p = cf.phenom_T0_probs(params.g, 0.3 * params.g, t)
+        p = cf.phenom_T0_rho(params.g, 0.3 * params.g, t).matrix.diagonal().real
         assert sum(p) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_phenom_photon_escapes(params):
-    p = cf.phenom_T0_probs(params.g, 0.3 * params.g, 5e-3)
+    p = cf.phenom_T0_rho(params.g, 0.3 * params.g, 5e-3).matrix.diagonal().real
     assert p == pytest.approx((0.0, 0.0, 1.0), abs=1e-9)
 
 
@@ -319,44 +319,6 @@ def test_energy_degenerate_falls_back_to_trace(params):
     h = np.diag(models.dressed_hamiltonian(params)).real
     direct = float(np.real(np.trace(np.diag(h) @ state.matrix)))
     assert cf.energy_mean(rates, 0.0466, params, t) == pytest.approx(direct, rel=1e-8)
-
-
-# ---------------------------------------------------------------------------
-# thermal damped-Rabi fit curves
-# ---------------------------------------------------------------------------
-
-def test_fit_curve_vacuum_lossless(params, geometry):
-    g = params.g
-    for t in (0.3 / g, 2.1 / g):
-        value = cf.damped_rabi_fit(cf.RabiFitVariant.EFFECTIVE_TIME, 0.0, params,
-                                   0.0, geometry, t)
-        assert value == pytest.approx(math.sin(g * t) ** 2, abs=1e-12)
-
-
-def test_fit_curve_asymptote_is_half(params, geometry):
-    for variant in cf.RabiFitVariant:
-        value = cf.damped_rabi_fit(variant, 4545.0, params, 0.05, geometry, 0.5)
-        assert value == pytest.approx(0.5, abs=1e-12)
-
-
-def test_fit_curve_rescaled_equals_scaled_effective(params, geometry):
-    # the rescaled variant only changes the damping by d/(sqrt(pi) w)
-    factor = evolve.SQRT_PI * geometry.waist / geometry.diameter
-    gamma = 4545.0
-    for t in (10e-6, 46e-6, 90e-6):
-        a = cf.damped_rabi_fit(cf.RabiFitVariant.RESCALED, gamma, params, 0.05,
-                               geometry, t)
-        b = cf.damped_rabi_fit(cf.RabiFitVariant.EFFECTIVE_TIME, gamma / factor,
-                               params, 0.05, geometry, t)
-        assert a == pytest.approx(b, abs=1e-15)
-
-
-def test_thermal_weights_truncation():
-    w = cf.thermal_weights(0.05)
-    assert w.sum() == pytest.approx(1.0, abs=1e-15)
-    raw = (0.05 / 1.05) ** np.arange(len(w)) / 1.05
-    assert raw.sum() >= 1.0 - 1e-9
-    assert cf.thermal_weights(0.0).tolist() == [1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -253,11 +253,3 @@ def test_series_validation():
     with pytest.raises(ValidationError):
         ExperimentSeries(np.array([1.0, 2.0]), np.array([0.1, 0.2]),
                          np.array([0.1, 0.0]), TimeConvention.TRUE)
-
-
-def test_dominant_frequency_helper(params):
-    # rough diagnostic only: the decaying baseline biases the crossings a bit
-    ts = np.linspace(0.0, 200e-6, 4001)
-    values = cf.microscopic_pg(params.g, 0.1 * params.g, 0.05 * params.g, ts)
-    freq = fitting.dominant_angular_frequency(ts, values)
-    assert freq == pytest.approx(2.0 * params.g, rel=0.05)
