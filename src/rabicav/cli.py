@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 
@@ -82,8 +83,8 @@ class RunConfig:
     name it (``--gamma-up`` sets ``gamma_up``).
 
     Construction types and checks each field and raises ConfigError (exit 2)
-    on a wrong type, a NaN or infinity, a non-positive omega0, g or step_us,
-    or end_us <= start_us.  Checks that need the physics (negative rates,
+    on a wrong type, a NaN or infinity, a non-positive omega0, g, step_us or
+    nstep, or end_us <= start_us.  Checks that need the physics (negative rates,
     times or spreads) stay where the physics is computed (exit 3).
     """
 
@@ -112,7 +113,7 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _typed(f, getattr(self, f.name)))
-        for name in ("omega0", "g", "step_us"):
+        for name in ("omega0", "g", "step_us", "nstep"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"config field {name!r} must be a positive number")
         if self.end_us <= self.start_us:
@@ -181,15 +182,23 @@ def write_csv(path: str | None, header: list[str], rows: np.ndarray) -> None:
     """Write a table of floats, one column per header field, as CSV.
 
     Values are written as their shortest round-trip decimals (``repr``, as
-    :func:`fmt` does), formatted column by column.
+    :func:`fmt` does), formatted column by column.  A path that cannot be
+    written raises ConfigError (exit 2) and leaves no partial file.
     """
     columns = (map(repr, col) for col in np.asarray(rows, dtype=float).T.tolist())
     text = "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    opened = False
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            opened = True
             fh.write(text)
+    except OSError as exc:
+        if opened and os.path.isfile(path):   # a partly written file
+            os.remove(path)
+        raise ConfigError(f"cannot write output {path!r}: {exc.strerror or exc}") from None
 
 
 def ingest_series(path: str, convention: fitting.TimeConvention) -> fitting.ExperimentSeries:
@@ -294,17 +303,14 @@ def _simulate_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
     elif name == "open-cavity":
         rho = cf.opencavity_rho(kind.rates, config.eps, params, ts, geometry=geom)
     elif name == "microscopic":  # gaussian profile, exact closed form
-        factor = evolve.SQRT_PI * geom.waist / geom.diameter
-        rho = cf.microscopic_rho(params.g * factor, kind.gamma1, kind.gamma2, ts)
+        rho = cf.microscopic_rho(params.g * geom.profile_mean, kind.gamma1, kind.gamma2, ts)
     elif geom is None:  # phenom-t, constant coupling: numeric oracle
         liou = models.build_liouvillian(kind, params)
         rho0 = cf.initial_excited_state(Basis.BARE)
-        rho = evolve.integrate(liou, rho0, ts[-1], t_eval=ts, model=name).states
+        rho = evolve.integrate(liou, rho0, ts[-1], t_eval=ts).states
     else:  # phenom model with the gaussian profile: n-step product
         rho0 = cf.initial_excited_state(Basis.BARE)
-        states = [rho0 if t == 0.0 else
-                  evolve.nstep_propagate(kind, params, geom, rho0, t, config.nstep) for t in ts]
-        rho = models.DensityMatrix(np.stack([s.matrix for s in states]), Basis.BARE)
+        rho = evolve.nstep_propagate(kind, params, geom, rho0, ts, config.nstep)
 
     pg = models.ground_state_probability(rho)
     if delta_t > 0.0:
@@ -375,14 +381,7 @@ def cmd_fit_rabi(args) -> int:
     if config.output is not None:
         t_true = (series.times if convention is fitting.TimeConvention.TRUE
                   else evolve.true_time(series.times, geom))
-        full = {"gamma1": config.gamma1, "gamma2": config.gamma2, "gamma3": config.gamma3,
-                "delta_t": fit_config.delta_t}
-        full.update(result.params)
-        if args.tie_gammas:
-            full["gamma2"] = full["gamma1"]
-        rates = models.DecayRates.simplified(full["gamma1"], full["gamma2"],
-                                             full["gamma3"], config.eps)
-        fit_curve = dephase.convolve_pg(rates, config.eps, params, geom, full["delta_t"], t_true)
+        fit_curve = fit_config.curve(result.params, t_true, args.tie_gammas)
         write_csv(config.output, ["t_us", "p_g_data", "p_g_fit"],
                   np.column_stack([series.times * 1e6, series.p_g, fit_curve]))
     return EXIT_OK if result.converged else EXIT_NOCONVERGE

@@ -18,11 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Basis, DensityMatrix, ValidationError, elementwise
+from .core import Basis, DensityMatrix, ValidationError, elementwise, time_grid
 from .evolve import CavityGeometry, SQRT_PI
 from .models import (
-    DecayRates, OpenCavity, PhysicalParams, build_liouvillian,
-    dressed_hamiltonian, vec,
+    DecayRates, OpenCavity, PhysicalParams, _unit, build_liouvillian,
+    dressed_hamiltonian, unvec, vec,
 )
 
 _DRESSED_INITIAL = np.array([
@@ -39,16 +39,6 @@ def initial_excited_state(basis: Basis) -> DensityMatrix:
     if basis is Basis.DRESSED:
         return DensityMatrix(_DRESSED_INITIAL.copy(), basis)
     raise ValidationError("initial state defined for 3-level bases only")
-
-
-def _time_grid(t) -> np.ndarray:
-    """``t`` (a time or a 1-D array of times, all >= 0) as a 1-D float array."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if ts.ndim != 1:
-        raise ValidationError("t must be a scalar or a 1-D array")
-    if np.any(ts < 0):
-        raise ValidationError("t must be >= 0")
-    return ts
 
 
 def _state(diag: np.ndarray, m01: np.ndarray, m10: np.ndarray, basis: Basis, t,
@@ -107,7 +97,7 @@ class ExpSum:
 
     def _sum(self, t, term):
         """const plus each term, given as (modulus, phase or None) by ``term(z, ts)``."""
-        ts = _time_grid(t)
+        ts = time_grid(t)
         out = self.const
         for c, z in zip(self.c.tolist(), self.z.tolist()):
             mod, phase = term(z, ts)
@@ -141,7 +131,7 @@ def phenom_T0_rho(g: float, gamma: float, t) -> DensityMatrix:
     oscillate; otherwise the evolution is overdamped and the returned state is
     tagged ``"hyperbolic"``.
     """
-    ts = _time_grid(t)
+    ts = time_grid(t)
     if g <= 0 or gamma < 0:
         raise ValidationError("need g > 0, gamma >= 0")
     d2 = gamma * gamma - 16.0 * g * g
@@ -188,7 +178,7 @@ def microscopic_rho(g: float, gamma1: float, gamma2: float, t) -> DensityMatrix:
 
     ``t`` is a time or a 1-D array of times (one state per time, stacked).
     """
-    ts = _time_grid(t)
+    ts = time_grid(t)
     if gamma1 < 0 or gamma2 < 0:
         raise ValidationError("rates must be >= 0")
     e1 = elementwise(math.exp, -gamma1 * ts / 2.0)
@@ -287,13 +277,8 @@ def damping_basis(rates: DecayRates, params: PhysicalParams | None = None) -> Da
     lam[7] = np.conj(lam[4])
     lam[8] = np.conj(lam[5])
 
-    def unit(i, j):
-        m = np.zeros((3, 3), dtype=complex)
-        m[i, j] = 1.0
-        return m
-
     operators = [np.diag(components[i]).astype(complex) for i in range(3)]
-    operators += [unit(0, 1), unit(0, 2), unit(1, 2), unit(1, 0), unit(2, 0), unit(2, 1)]
+    operators += [_unit(i, j) for i, j in ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1))]
     return DampingBasis(lam, operators, components, s, degenerate)
 
 
@@ -363,6 +348,7 @@ def _decompose(rates: DecayRates, eps: float) -> tuple[DampingBasis, InitialDeco
 def _phase_coupling(params: PhysicalParams, geometry: CavityGeometry | None) -> float:
     if geometry is None:
         return params.g
+    # ((g * sqrt(pi)) * w) / d, not g * profile_mean: the curve digests pin this order.
     return params.g * SQRT_PI * geometry.waist / geometry.diameter
 
 
@@ -382,10 +368,10 @@ def _fallback(rates: DecayRates, params: PhysicalParams, t,
     lam, vmat = np.linalg.eig(liou.matrix)
     v0 = vec(initial_excited_state(Basis.DRESSED).matrix)
     w = np.linalg.solve(vmat, v0)
-    ts = _time_grid(t)
+    ts = time_grid(t)
     # A stacked matrix-vector product, which rounds exactly as one product per time.
     v = np.matmul(vmat, (np.exp(ts[:, None] * lam) * w)[:, :, None])
-    m = np.swapaxes(v.reshape(-1, 3, 3), 1, 2)     # unvec of each column-stacked state
+    m = unvec(v[:, :, 0])
     m = 0.5 * (m + np.swapaxes(m.conj(), 1, 2))
     rho = DensityMatrix(m[0] if np.ndim(t) == 0 else m, Basis.DRESSED, "fallback")
     return rho, lam, vmat * w
@@ -406,7 +392,7 @@ def opencavity_rho(rates: DecayRates, eps: float, params: PhysicalParams,
     effective value; the decay exponents are unaffected.  Degenerate inputs
     return the numeric fallback, tagged ``"fallback"``.
     """
-    ts = _time_grid(t)
+    ts = time_grid(t)
     try:
         basis, coeffs = _decompose(rates, eps)
     except DegenerateModelError:

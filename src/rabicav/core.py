@@ -78,6 +78,16 @@ def elementwise(fn, *arrays) -> np.ndarray:
     return np.array(list(map(fn, *(np.asarray(a).tolist() for a in arrays))), dtype=float)
 
 
+def time_grid(t, name: str = "t") -> np.ndarray:
+    """``t`` (a time or a 1-D array of times, all >= 0) as a 1-D float array."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if ts.ndim != 1:
+        raise ValidationError(f"{name} must be a scalar or a 1-D array")
+    if np.any(ts < 0):
+        raise ValidationError(f"{name} must be >= 0")
+    return ts
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Small Hermitian, trace-one, positive matrix tagged with its basis.

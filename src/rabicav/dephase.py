@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .closed_form import _energy_sum, _pg_sum
-from .core import ValidationError
+from .core import ValidationError, time_grid
 from .evolve import CavityGeometry
 from .models import DecayRates, PhysicalParams
 
@@ -32,11 +32,7 @@ def gamma_kernel(t: float, t_prime, delta_t: float):
     if t <= 0 or delta_t <= 0:
         raise ValidationError("gamma_kernel needs t > 0 and delta_t > 0")
     shape = t / delta_t
-    tp = np.asarray(t_prime, dtype=float)
-    if np.any(tp < 0):
-        raise ValidationError("t_prime must be >= 0")
-    scalar = tp.ndim == 0
-    tp = np.atleast_1d(tp)
+    tp = time_grid(t_prime, "t_prime")
     out = np.zeros_like(tp)
     pos = tp > 0
     x = tp[pos] / delta_t
@@ -47,7 +43,7 @@ def gamma_kernel(t: float, t_prime, delta_t: float):
             out[~pos] = np.inf
         elif shape == 1.0:
             out[~pos] = 1.0 / delta_t
-    return float(out[0]) if scalar else out
+    return float(out[0]) if np.ndim(t_prime) == 0 else out
 
 
 def _quadrature(func, t: float, delta_t: float) -> float:

@@ -8,12 +8,12 @@ master equation d(vec rho)/dt = L(t) vec(rho) with per-step error control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DensityMatrix, ValidationError
+from .core import DensityMatrix, ValidationError, time_grid
 from .models import (
     Liouvillian, ModelKind, PhysicalParams, build_liouvillian,
     ground_state_probability, vec, unvec,
@@ -26,37 +26,41 @@ SQRT_PI = math.sqrt(math.pi)
 class CavityGeometry:
     """Open Fabry-Perot geometry: Gaussian mode waist and mirror diameter (m).
 
-    ``velocity`` is the atomic velocity; when omitted it is inferred from the
-    crossing time as d = v*t.
+    The atom crosses the mirror diameter d at constant speed in the crossing
+    time, so the profile depends only on the fraction of the crossing done.
     """
 
     waist: float
     diameter: float
-    velocity: float | None = None
 
     def __post_init__(self):
         if self.waist <= 0 or self.diameter <= 0:
             raise ValidationError("waist and diameter must be positive")
         if self.waist >= self.diameter:
             raise ValidationError("waist must be smaller than the mirror diameter")
-        if self.velocity is not None and self.velocity <= 0:
-            raise ValidationError("velocity must be positive")
+
+    @property
+    def profile_mean(self) -> float:
+        """Mean coupling over a crossing as a fraction of the peak: sqrt(pi) * w / d."""
+        return SQRT_PI * self.waist / self.diameter
 
 
-def gaussian_coupling(g_peak: float, geom: CavityGeometry, t_total: float,
-                      t_prime: float) -> float:
+def gaussian_coupling(g_peak: float, geom: CavityGeometry, t_total: float, t_prime):
     """Coupling seen by an atom crossing the Gaussian mode profile.
 
-    g(t') = g_peak * exp(-v^2 (t_total/2 - t')^2 / w^2), peaked at the cavity
-    center t' = t_total/2 and symmetric about it.
+    g(t') = g_peak * exp(-v^2 (t_total/2 - t')^2 / w^2) with v = d/t_total,
+    peaked at the cavity center t' = t_total/2 and symmetric about it.  A
+    float for one ``t_prime``, an array for an array of them.
     """
-    if not 0.0 <= t_prime <= t_total:
+    tp = np.asarray(t_prime, dtype=float)
+    if not np.all((0.0 <= tp) & (tp <= t_total)):
         raise ValidationError("t_prime must lie in [0, t_total]")
-    v = geom.velocity if geom.velocity is not None else geom.diameter / t_total
-    u = v * (0.5 * t_total - t_prime) / geom.waist
-    return g_peak * math.exp(-u * u)
+    u = (geom.diameter / t_total) * (0.5 * t_total - tp) / geom.waist
+    g = g_peak * np.exp(-u * u)
+    return float(g) if g.ndim == 0 else g
 
 
+# sqrt(pi) * (w/d), not profile_mean: fit-rabi's effective-time output pins this rounding.
 def effective_time(t, geom: CavityGeometry):
     """Rescaled time sqrt(pi) * (w/d) * t absorbing the Gaussian profile."""
     return SQRT_PI * (geom.waist / geom.diameter) * t
@@ -76,7 +80,6 @@ class Trajectory:
 
     times: np.ndarray
     states: DensityMatrix
-    model: str
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -125,8 +128,7 @@ def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
 def integrate(liouvillian: Liouvillian | Callable[[float], Liouvillian],
               rho0: DensityMatrix, t_end: float, *,
               t_eval: Sequence[float] | None = None,
-              rtol: float = 1e-10, atol: float = 1e-12,
-              model: str = "") -> Trajectory:
+              rtol: float = 1e-10, atol: float = 1e-12) -> Trajectory:
     """Propagate ``rho0`` to ``t_end`` with an embedded 5(4) pair.
 
     ``liouvillian`` is either a fixed generator or a callable of time (for a
@@ -161,9 +163,7 @@ def integrate(liouvillian: Liouvillian | Callable[[float], Liouvillian],
     recorded: list[np.ndarray] = []
 
     def trajectory() -> Trajectory:
-        d = rho0.dim
-        stack = np.reshape(recorded, (-1, d, d)).swapaxes(1, 2)  # unvec per row
-        return Trajectory(t_eval, DensityMatrix(stack, basis), model)
+        return Trajectory(t_eval, DensityMatrix(unvec(np.reshape(recorded, (-1, 9))), basis))
 
     t = 0.0
     y = vec(rho0.matrix)
@@ -216,7 +216,6 @@ def integrate(liouvillian: Liouvillian | Callable[[float], Liouvillian],
 
 def _coupling_family(kind: ModelKind, params: PhysicalParams):
     """Affine decomposition L(g) = L0 + g*L1 of the generator in the coupling."""
-    from dataclasses import replace
     g = params.g
     la = build_liouvillian(kind, params)
     lb = build_liouvillian(kind, replace(params, g=g / 2))
@@ -241,50 +240,67 @@ def gaussian_liouvillian(kind: ModelKind, params: PhysicalParams,
     return at
 
 
-# Generators per batched eig/solve in nstep_propagate: large enough to
-# amortise the Python overhead, small enough to bound the workspace.
-_NSTEP_CHUNK = 1024
+def _expm_rows(a: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """exp(a dt_i) for each entry of the column ``dt``: the Taylor series of
+    a dt_i / 2^s, squared s times, with s set by the largest dt_i."""
+    span = float(dt.max(initial=0.0))
+    squarings = max(0, math.frexp(float(np.abs(a).sum(axis=0).max()) * span)[1] + 1)
+    b = a * (span / 2.0 ** squarings)   # |b| <= 1/2, and row i takes b * dt_i / span
+    terms = [np.eye(len(a), dtype=complex)]
+    for k in range(1, 19):   # the remainder is below 1e-22
+        terms.append(terms[-1] @ b / k)
+    frac = dt[:, 0] / span if span > 0 else dt[:, 0]
+    result = np.tensordot(frac[:, None] ** np.arange(19), np.array(terms), axes=1)
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
 
 def nstep_propagate(kind: ModelKind, params: PhysicalParams,
                     geom: CavityGeometry | None, rho0: DensityMatrix,
-                    t: float, n: int) -> DensityMatrix:
-    """Product of n frozen-coupling propagators exp(L(g_j) dt), dt = t/n.
+                    t, n: int) -> DensityMatrix:
+    """Product of n frozen-coupling propagators exp(L(g_j) t/n) at each time t.
 
-    The coupling is sampled at interval midpoints; with ``geom`` absent the
-    profile is constant.  Each distinct coupling's propagator
-    V diag(e^{lambda dt}) V^-1 is built once by eigen-decomposition, in
-    batches of ``_NSTEP_CHUNK`` generators, and the factors are then applied
-    in order.
+    ``t`` is a time or a 1-D array of times (one state per time, stacked; a
+    state at t = 0 is ``rho0`` itself).  g_j is the coupling at the midpoint
+    (j + 1/2)/n of the crossing (constant with ``geom`` absent), the same for
+    every t, so each distinct generator is eigen-decomposed once and factor j
+    is V diag(e^{lambda t/n}) V^-1, applied in order to all times at once.
+    Only the vec entries rho0 reaches along the generators' nonzero pattern
+    are propagated; the others stay exactly zero.
     """
     if not isinstance(n, int) or n < 1:
         raise ValidationError("n must be a positive integer")
-    if t < 0:
-        raise ValidationError("t must be >= 0")
-    if t == 0:
-        return rho0
+    ts = time_grid(t)
     l0, slope, basis = _coupling_family(kind, params)
     if rho0.basis is not basis:
         raise ValidationError("rho0 basis does not match the model basis")
-    dt = t / n
-    mids = (np.arange(n) + 0.5) * dt
-    if geom is None:
-        gs = np.full(n, params.g)
-    else:
-        gs = np.array([gaussian_coupling(params.g, geom, t, tm) for tm in mids])
+    v0 = vec(rho0.matrix)
+    # Boolean (I | P)^8 links each index to every index it reaches along the pattern P.
+    pattern = np.eye(v0.size, dtype=bool) | (l0 != 0) | (slope != 0)
+    block = np.flatnonzero(np.linalg.matrix_power(pattern, v0.size - 1) @ (v0 != 0))
+    gs = (np.full(n, params.g) if geom is None
+          else gaussian_coupling(params.g, geom, 1.0, (np.arange(n) + 0.5) / n))
+    unique_gs, order = np.unique(gs, return_inverse=True)   # a constant profile has one
+    sub = np.ix_(block, block)
+    gens = l0[sub] + unique_gs[:, None, None] * slope[sub]
+    lam, vmat = np.linalg.eig(gens)
+    # Near a degenerate eigenvalue (no damping, or an exceptional point) the
+    # eigenvectors are nearly dependent and V's rounding, ~1e-16 cond(V), grows;
+    # such factors use a series.  V has unit columns, so cond(V) <= k^(k/2) / |det V|.
+    degenerate = np.abs(np.linalg.det(vmat)) < 1e-2
+    vmat[degenerate] = np.eye(block.size)
+    vinv = np.linalg.inv(vmat)
+    dt = ts[:, None] / n
+    x = np.tile(v0[block], (ts.size, 1))
+    for j in order.tolist():
+        if degenerate[j]:
+            x = (_expm_rows(gens[j], dt) @ x[:, :, None])[:, :, 0]
+        else:
+            x = (np.exp(lam[j] * dt) * (x @ vinv[j].T)) @ vmat[j].T
 
-    # The profile is symmetric, so about half the couplings repeat (a
-    # constant profile needs a single propagator).
-    unique_gs, inverse = np.unique(gs, return_inverse=True)
-    props = np.empty((unique_gs.size,) + l0.shape, dtype=complex)
-    for lo in range(0, unique_gs.size, _NSTEP_CHUNK):
-        chunk = unique_gs[lo:lo + _NSTEP_CHUNK]
-        lam, vmat = np.linalg.eig(l0 + chunk[:, None, None] * slope)
-        scaled = vmat * np.exp(lam * dt)[:, None, :]
-        # P = V D V^-1, i.e. P^T = solve(V^T, (V D)^T).
-        props[lo:lo + chunk.size] = np.linalg.solve(
-            vmat.swapaxes(1, 2), scaled.swapaxes(1, 2)).swapaxes(1, 2)
-    v = vec(rho0.matrix)
-    for idx in inverse.tolist():
-        v = props[idx] @ v
-    return DensityMatrix(unvec(v), basis)
+    out = np.zeros((ts.size, v0.size), dtype=complex)
+    out[:, block] = x
+    mats = unvec(out)
+    mats[ts == 0.0] = rho0.matrix
+    return DensityMatrix(mats[0] if np.ndim(t) == 0 else mats, basis)

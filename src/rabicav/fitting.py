@@ -21,7 +21,7 @@ import numpy as np
 from .core import ValidationError
 from .closed_form import energy_mean_asymptote
 from .dephase import convolve_pg
-from .evolve import CavityGeometry, SQRT_PI, true_time
+from .evolve import CavityGeometry, true_time
 from .models import DecayRates, PhysicalParams
 
 
@@ -226,15 +226,16 @@ def q_from_rate(gamma: float, eps: float, params: PhysicalParams,
     """Quality factor implied by equal dressed decay rates gamma1 = gamma2.
 
     True time: Q = 2*omega0 / (gamma * (2 eps + 1)); against the effective
-    time axis the same curve fits to Q scaled by sqrt(pi) w/d.
+    time axis the same curve fits to Q scaled by sqrt(pi) w/d.  The map is
+    its own inverse, so :func:`rate_from_q` is the same arithmetic.
     """
     if gamma <= 0:
-        raise ValidationError("gamma must be positive")
+        raise ValidationError(f"a rate or Q must be positive, got {gamma}")
     q = 2.0 * params.omega0 / (gamma * (2.0 * eps + 1.0))
     if convention is TimeConvention.EFFECTIVE:
         if geom is None:
             raise ValidationError("effective-time identity needs the cavity geometry")
-        q *= SQRT_PI * geom.waist / geom.diameter
+        q *= geom.profile_mean
     return q
 
 
@@ -242,14 +243,7 @@ def rate_from_q(q: float, eps: float, params: PhysicalParams,
                 convention: TimeConvention,
                 geom: CavityGeometry | None = None) -> float:
     """Inverse of :func:`q_from_rate`."""
-    if q <= 0:
-        raise ValidationError("Q must be positive")
-    gamma = 2.0 * params.omega0 / (q * (2.0 * eps + 1.0))
-    if convention is TimeConvention.EFFECTIVE:
-        if geom is None:
-            raise ValidationError("effective-time identity needs the cavity geometry")
-        gamma *= SQRT_PI * geom.waist / geom.diameter
-    return gamma
+    return q_from_rate(q, eps, params, convention, geom)
 
 
 def fit_q(times: np.ndarray, omega_bar: np.ndarray, eps: float,
@@ -300,6 +294,17 @@ class RabiFitConfig:
     gamma3: float
     delta_t: float = 0.0
 
+    def curve(self, values: Mapping[str, float], t, tie_gammas: bool = False) -> np.ndarray:
+        """The model p_g at true times ``t``, with ``values`` in place of the
+        fixed parameters they name (gamma2 follows gamma1 under ``tie_gammas``)."""
+        full = {"gamma1": self.gamma1, "gamma2": self.gamma2, "gamma3": self.gamma3,
+                "delta_t": self.delta_t, **values}
+        if tie_gammas:
+            full["gamma2"] = full["gamma1"]
+        rates = DecayRates.simplified(full["gamma1"], full["gamma2"], full["gamma3"], self.eps)
+        return np.asarray(convolve_pg(rates, self.eps, self.params, self.geom,
+                                      full["delta_t"], t))
+
 
 _FREE_NAMES = ("gamma1", "gamma2", "gamma3", "delta_t")
 
@@ -323,22 +328,9 @@ def fit_rabi(series: ExperimentSeries, config: RabiFitConfig,
     if tie_gammas and "gamma2" in free:
         raise ValidationError("gamma2 cannot be free when tied to gamma1")
 
-    base = {"gamma1": config.gamma1, "gamma2": config.gamma2,
-            "gamma3": config.gamma3, "delta_t": config.delta_t}
     t_true = (series.times if series.convention is TimeConvention.TRUE
               else true_time(series.times, config.geom))
-
-    def model(p: Mapping[str, float], ts: np.ndarray) -> np.ndarray:
-        full = dict(base)
-        full.update(p)
-        if tie_gammas:
-            full["gamma2"] = full["gamma1"]
-        rates = DecayRates.simplified(full["gamma1"], full["gamma2"],
-                                      full["gamma3"], config.eps)
-        return np.asarray(convolve_pg(rates, config.eps, config.params,
-                                      config.geom, full["delta_t"], ts))
-
-    problem = FitProblem(model, t_true, series.p_g, series.sigma, free,
-                         {n: base[n] for n in free},
+    problem = FitProblem(lambda p, ts: config.curve(p, ts, tie_gammas), t_true, series.p_g,
+                         series.sigma, free, {n: getattr(config, n) for n in free},
                          {n: 0.0 for n in free})
     return levenberg_marquardt(problem)

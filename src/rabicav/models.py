@@ -231,7 +231,8 @@ def vec(rho: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(3, 3, order="F")
+    """Inverse of :func:`vec`, for one 9-vector or a stack of them along the last axis."""
+    return np.asarray(v, dtype=complex).reshape(*np.shape(v)[:-1], 3, 3).swapaxes(-1, -2)
 
 
 def hamiltonian_superop(h: np.ndarray) -> np.ndarray:

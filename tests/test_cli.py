@@ -82,6 +82,57 @@ def test_simulate_phenom_gaussian_uses_nstep(tmp_path, params):
     assert rows[-1][1] == pytest.approx(models.ground_state_probability(state), abs=1e-12)
 
 
+def test_simulate_phenom_gaussian_small_nstep_keeps_the_budget(tmp_path):
+    out = tmp_path / "n37.csv"
+    assert run_cli("simulate", "--model", "phenom-t0", "--profile", "gaussian",
+                   "--start-us", "430", "--end-us", "431", "--step-us", "1",
+                   "--nstep", "37", "-o", str(out)) == 0
+    header, rows = read_csv(out)
+    assert header[:2] == ["t_us", "p_g"] and rows.shape == (2, 8)
+
+
+@pytest.mark.parametrize("nstep", ["0", "-3"])
+@pytest.mark.parametrize("model", ["open-cavity", "phenom-t0"])
+def test_nonpositive_nstep_is_usage_error(tmp_path, capsys, model, nstep):
+    out = tmp_path / "out.csv"
+    assert run_cli("simulate", "--model", model, "--profile", "gaussian", "--end-us", "2",
+                   "--nstep", nstep, "-o", str(out)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'nstep'" in err
+    assert not out.exists()
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert run_cli("simulate", "--end-us", "2", "-o", str(target)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:10])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
+    out = tmp_path / "out.csv"
+    assert run_cli("simulate", "--end-us", "2", "-o", str(out)) == cli.EXIT_USAGE
+    assert "No space left on device" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_energy_command(tmp_path, params, paper_rates):
     out = tmp_path / "energy.csv"
     assert run_cli("energy", "--end-us", "100", "--step-us", "50",

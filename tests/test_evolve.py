@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import expm
 
 from rabicav import closed_form as cf
-from rabicav import evolve, models
+from rabicav import PhysicalParams, evolve, models
 from rabicav.core import Basis, DensityMatrix, ValidationError
 
 
@@ -167,22 +170,27 @@ def test_nstep_factors_preserve_trace_and_positivity(params, paper_rates, geomet
         assert state.min_eigenvalue >= -1e-9
 
 
+_BLOCK = [0, 1, 3, 4, 8]   # vec indices |e,0><e,0| reaches, in either basis
+_OFF_BLOCK = [2, 5, 6, 7]
+
+
 def _nstep_reference(kind, params, geometry, rho0, t, n):
-    # one eig per distinct frozen generator, one solve per factor, in order
+    # per-factor expm product on the invariant block, one factor at a time
+    if t == 0.0:
+        return rho0.matrix
     l0, slope, _ = evolve._coupling_family(kind, params)
+    sub = np.ix_(_BLOCK, _BLOCK)
     dt = t / n
-    v = models.vec(rho0.matrix)
-    eigs = {}
+    v = models.vec(rho0.matrix)[_BLOCK]
     for j in range(n):
         g_j = evolve.gaussian_coupling(params.g, geometry, t, (j + 0.5) * dt)
-        if g_j not in eigs:
-            eigs[g_j] = np.linalg.eig(l0 + g_j * slope)
-        lam, vmat = eigs[g_j]
-        v = vmat @ (np.exp(lam * dt) * np.linalg.solve(vmat, v))
-    return models.unvec(v)
+        v = expm((l0[sub] + g_j * slope[sub]) * dt) @ v
+    out = np.zeros(9, dtype=complex)
+    out[_BLOCK] = v
+    return models.unvec(out)
 
 
-@pytest.mark.parametrize("n", [37, 2051, 4099])  # the larger two span several batches
+@pytest.mark.parametrize("n", [37, 2051, 4099])
 @pytest.mark.parametrize("model", ["open-cavity", "phenom-t0"])
 def test_nstep_batched_propagators_match_per_factor_solves(params, paper_rates, geometry,
                                                            model, n):
@@ -194,7 +202,43 @@ def test_nstep_batched_propagators_match_per_factor_solves(params, paper_rates, 
     t = 200e-6
     state = evolve.nstep_propagate(kind, params, geometry, rho0, t, n)
     reference = _nstep_reference(kind, params, geometry, rho0, t, n)
-    assert np.max(np.abs(state.matrix - reference)) <= 1e-10
+    assert np.max(np.abs(state.matrix - reference)) <= 1e-12
+    assert np.all(models.vec(state.matrix)[_OFF_BLOCK] == 0.0)
+
+
+def test_nstep_time_array_matches_scalar_calls(params, geometry):
+    kind = models.PhenomT0(0.3 * params.g)
+    rho0 = cf.initial_excited_state(Basis.BARE)
+    ts = np.array([0.0, 3e-6, 47e-6, 200e-6, 431e-6])
+    stack = evolve.nstep_propagate(kind, params, geometry, rho0, ts, 201)
+    assert stack.matrix.shape == (ts.size, 3, 3)
+    for t, state in zip(ts, stack.matrix):
+        single = evolve.nstep_propagate(kind, params, geometry, rho0, float(t), 201)
+        assert np.max(np.abs(state - single.matrix)) <= 1e-12
+    assert np.array_equal(stack.matrix[0], rho0.matrix)
+
+
+def test_nstep_zero_time_is_the_initial_state(params, paper_rates, geometry):
+    rho0 = cf.initial_excited_state(Basis.DRESSED)
+    kind = models.OpenCavity(paper_rates)
+    single = evolve.nstep_propagate(kind, params, geometry, rho0, 0.0, 37)
+    assert np.array_equal(single.matrix, rho0.matrix)
+    stack = evolve.nstep_propagate(kind, params, None, rho0, np.array([0.0, 1e-5, 0.0]), 5)
+    assert np.array_equal(stack.matrix[0], rho0.matrix)
+    assert np.array_equal(stack.matrix[2], rho0.matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gamma=st.floats(0.0, 1e6), t=st.floats(0.0, 500e-6, allow_subnormal=False),
+       n=st.integers(1, 300))
+@example(gamma=0.0, t=500e-6, n=1)                          # degenerate: no damping
+@example(gamma=4 * PhysicalParams().g, t=200e-6, n=37)      # exceptional point at the peak
+def test_nstep_matches_block_expm_product(params, geometry, gamma, t, n):
+    kind = models.PhenomT0(gamma)
+    rho0 = cf.initial_excited_state(Basis.BARE)
+    state = evolve.nstep_propagate(kind, params, geometry, rho0, t, n)
+    reference = _nstep_reference(kind, params, geometry, rho0, t, n)
+    assert np.max(np.abs(state.matrix - reference)) <= 1e-12
 
 
 def test_nstep_validation(params, paper_rates):
