@@ -202,21 +202,24 @@ def write_csv(path: str | None, header: list[str], rows: np.ndarray) -> None:
 
 
 def ingest_series(path: str, convention: fitting.TimeConvention) -> fitting.ExperimentSeries:
-    """Read a `t_us,p_g[,sigma]` CSV into a validated series (times -> s)."""
+    """Read a `t_us,p_g[,sigma]` CSV into a validated series (times -> s).
+
+    Blank lines are skipped; errors name the row as the file's line number.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
     except OSError as exc:
         raise ValidationError(f"cannot read data file: {exc}")
     if not lines:
         raise ValidationError("data file is empty")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[0][1].split(",")]
     if header[:2] != ["t_us", "p_g"] or len(header) > 3 or (
             len(header) == 3 and header[2] != "sigma"):
         raise ValidationError("header must be 't_us,p_g' or 't_us,p_g,sigma'")
     with_sigma = len(header) == 3
     times, p_g, sigma = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != len(header):
             raise ValidationError(f"row {lineno}: expected {len(header)} fields, got {len(parts)}")
@@ -224,6 +227,9 @@ def ingest_series(path: str, convention: fitting.TimeConvention) -> fitting.Expe
             values = [float(p) for p in parts]
         except ValueError:
             raise ValidationError(f"row {lineno}: non-numeric field")
+        if not all(map(math.isfinite, values)):
+            i = next(i for i, v in enumerate(values) if not math.isfinite(v))
+            raise ValidationError(f"row {lineno}: {header[i]} = {values[i]} is not finite")
         times.append(values[0] * 1e-6)
         p_g.append(values[1])
         if with_sigma:

@@ -2,11 +2,32 @@
 
 The solver keeps the classic recipe: damped scaled normal equations with the
 damping factor multiplied by 10 whenever a step raises the cost and divided
-by 10 on acceptance, a forward-difference Jacobian with relative step 1e-7,
-and termination on gradient norm, step norm or an iteration cap.  Flat
-parameter directions (zero Jacobian columns) are tolerated -- the parameter
-simply stays put and its standard error diverges -- but a completely
-insensitive model raises a rank-deficiency error naming the dead parameters.
+by 10 on acceptance, and a forward-difference Jacobian.  The difference step
+of a parameter x is ``rel_step * max(|x|, s)`` with ``s = min(|x0|, 1)`` from
+its starting value (``s = 1`` where x0 = 0), so a timing spread of 2.4e-6 s
+gets a step of 2.4e-13 s rather than a 4 % secant, while a parameter that
+starts at or above 1 keeps the step ``rel_step * max(|x|, 1)``.
+
+Trial points are clamped to the lower bounds.  A parameter sitting on its
+bound while the gradient pushes it further down is held there: it is left
+out of the step and of the gradient test.
+
+The iteration stops, converged, on the first of three rules:
+
+* the gradient norm drops below ``grad_tol * (1 + cost)``;
+* the step actually taken (after clamping) has norm below ``step_tol``;
+* a trial step is rejected and the linear model predicts it lowers the cost
+  by no more than ``len(r) * eps * cost``, the rounding floor of the cost
+  itself.  A larger damping factor only shortens that step, so no further
+  progress is possible.
+
+It gives up, unconverged, when the damping factor passes 1e14 or after
+``max_iter`` iterations.  Standard errors come from the final Jacobian with
+its columns scaled to unit norm, so parameters of very different magnitude
+are not mistaken for a singular direction.  Flat parameter directions (zero
+Jacobian columns) are tolerated -- the parameter simply stays put and its
+standard error diverges -- but a completely insensitive model raises a
+rank-deficiency error naming the dead parameters.
 """
 
 from __future__ import annotations
@@ -23,6 +44,12 @@ from .closed_form import energy_mean_asymptote
 from .dephase import convolve_pg
 from .evolve import CavityGeometry, true_time
 from .models import DecayRates, PhysicalParams
+
+
+def _require_finite(name: str, values: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValidationError(f"{name}[{bad[0]}] = {values[bad[0]]} is not finite")
 
 
 class TimeConvention(Enum):
@@ -48,6 +75,8 @@ class ExperimentSeries:
         object.__setattr__(self, "p_g", p)
         if t.size == 0 or t.shape != p.shape:
             raise ValidationError("series needs matching, nonempty times and p_g")
+        _require_finite("times", t)
+        _require_finite("p_g", p)
         if np.any(np.diff(t) <= 0):
             raise ValidationError("series times must be strictly increasing")
         if np.any((p < 0) | (p > 1)):
@@ -55,6 +84,7 @@ class ExperimentSeries:
         if self.sigma is not None:
             s = np.asarray(self.sigma, dtype=float)
             object.__setattr__(self, "sigma", s)
+            _require_finite("sigma", s)
             if s.shape != t.shape or np.any(s <= 0):
                 raise ValidationError("sigma must be positive and match times")
 
@@ -82,14 +112,20 @@ class FitProblem:
     def __post_init__(self):
         if len(self.names) == 0:
             raise ValidationError("free parameter set must not be empty")
+        duplicates = sorted({n for n in self.names if self.names.count(n) > 1})
+        if duplicates:
+            raise ValidationError(f"free parameter(s) listed twice: {', '.join(duplicates)}")
         t = np.asarray(self.times, dtype=float)
         y = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", y)
         if t.size < len(self.names):
             raise ValidationError("need at least as many data points as free parameters")
+        _require_finite("times", t)
+        _require_finite("values", y)
         if self.sigma is not None:
             s = np.asarray(self.sigma, dtype=float)
+            _require_finite("sigma", s)
             if np.any(s <= 0):
                 raise ValidationError("sigma must be positive")
             object.__setattr__(self, "sigma", s)
@@ -116,12 +152,12 @@ def _residuals(problem: FitProblem, params: dict[str, float]) -> np.ndarray:
     return r
 
 
-def _jacobian(problem: FitProblem, params: dict[str, float],
-              r0: np.ndarray, rel_step: float) -> np.ndarray:
+def _jacobian(problem: FitProblem, params: dict[str, float], r0: np.ndarray,
+              rel_step: float, floor: Mapping[str, float]) -> np.ndarray:
     cols = []
     for name in problem.names:
         p = dict(params)
-        h = rel_step * max(abs(p[name]), 1.0)
+        h = rel_step * max(abs(p[name]), floor[name])
         p[name] = params[name] + h
         # divide by the step actually applied, not the nominal one
         h_eff = p[name] - params[name]
@@ -134,18 +170,22 @@ def levenberg_marquardt(problem: FitProblem, *, max_iter: int = 500,
                         rel_step: float = 1e-7, lambda0: float = 1e-3) -> FitResult:
     """Minimize the weighted residual sum of squares.
 
-    Convergence is declared when the gradient norm drops below
-    ``grad_tol * (1 + cost)`` or the step norm below ``step_tol``; the cost
-    never increases across accepted iterations.
+    The stopping rules are those of the module docstring; the cost never
+    increases across accepted iterations.
     """
     params = {n: float(problem.x0[n]) for n in problem.names}
     lower = {n: problem.lower.get(n, -math.inf) for n in problem.names}
+    # floor of the difference step's scale; a start too small for
+    # rel_step * |x0| to be a normal float counts as zero
+    floor = {n: min(abs(x), 1.0) if abs(x) >= np.finfo(float).tiny else 1.0
+             for n, x in params.items()}
     r = _residuals(problem, params)
     cost = float(r @ r)
+    rounding_floor = r.size * np.finfo(float).eps
     lam = lambda0
     n_iter = 0
     converged = False
-    jac = _jacobian(problem, params, r, rel_step)
+    jac = _jacobian(problem, params, r, rel_step, floor)
 
     col_norms = np.linalg.norm(jac, axis=0)
     if np.all(col_norms == 0.0):
@@ -153,15 +193,23 @@ def levenberg_marquardt(problem: FitProblem, *, max_iter: int = 500,
 
     while n_iter < max_iter:
         n_iter += 1
-        jtj = jac.T @ jac
         grad = jac.T @ r
+        # held: on the lower bound with the descent direction pointing below it
+        held = [params[n] <= lower[n] and g > 0.0 for n, g in zip(problem.names, grad)]
+        moving = slice(None)
+        if any(held):
+            moving = ~np.array(held)
+            grad[~moving] = 0.0
         if np.linalg.norm(grad) <= grad_tol * (1.0 + cost):
             converged = True
             break
+        sub = jac[:, moving]
+        jtj = sub.T @ sub
         diag = np.diag(jtj).copy()
         diag[diag <= 0.0] = 1.0
+        step = np.zeros_like(grad)
         try:
-            step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+            step[moving] = np.linalg.solve(jtj + lam * np.diag(diag), -grad[moving])
         except np.linalg.LinAlgError:
             raise RankDeficiencyError(problem.names)
         trial = {n: max(params[n] + s, lower[n])
@@ -175,8 +223,14 @@ def levenberg_marquardt(problem: FitProblem, *, max_iter: int = 500,
         if np.isfinite(cost_trial) and cost_trial < cost:
             params, r, cost = trial, r_trial, cost_trial
             lam = max(lam / 10.0, 1e-14)
-            jac = _jacobian(problem, params, r, rel_step)
+            jac = _jacobian(problem, params, r, rel_step, floor)
         else:
+            # the linear model's gain on the unclamped step: a clamped one
+            # can point uphill without the fit having converged
+            predicted = -(2.0 * grad @ step + np.sum((jac @ step) ** 2))
+            if predicted <= rounding_floor * cost:
+                converged = True
+                break
             lam *= 10.0
             if lam > 1e14:
                 break
@@ -188,10 +242,15 @@ def levenberg_marquardt(problem: FitProblem, *, max_iter: int = 500,
 def _standard_errors(problem: FitProblem, jac: np.ndarray, cost: float):
     """Per-parameter standard errors from the final Jacobian.
 
-    Directions in which the normal matrix is singular get infinite errors;
-    with unit weights the covariance is scaled by the reduced chi-square.
+    The columns are scaled to unit norm first, so the singular-direction test
+    compares directions, not units.  Directions in which the scaled normal
+    matrix is singular (a zero column among them) get infinite errors; with
+    unit weights the covariance is scaled by the reduced chi-square.
     """
-    jtj = jac.T @ jac
+    col_norms = np.linalg.norm(jac, axis=0)
+    col_norms[col_norms == 0.0] = 1.0
+    unit = jac / col_norms
+    jtj = unit.T @ unit
     n_pts, n_par = jac.shape
     dof = max(n_pts - n_par, 1)
     scale = 1.0 if problem.sigma is not None else cost / dof
@@ -212,7 +271,7 @@ def _standard_errors(problem: FitProblem, jac: np.ndarray, cost: float):
             stderr[name] = math.inf
             degenerate.append(name)
         else:
-            stderr[name] = math.sqrt(var * scale)
+            stderr[name] = math.sqrt(var * scale) / float(col_norms[i])
     return stderr, degenerate
 
 

@@ -407,6 +407,51 @@ def test_fit_rabi_nonconvergence_exit_code(tmp_path, monkeypatch, capsys):
                    "--free", "gamma3") == cli.EXIT_NOCONVERGE
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("1.0,0.1,0.01\n2.0,0.4,nan\n", "row 3: sigma = nan is not finite"),
+    ("1.0,0.1,0.01\nnan,0.4,0.01\n", "row 3: t_us = nan is not finite"),
+    ("1.0,0.1,inf\n2.0,0.4,0.01\n", "row 2: sigma = inf is not finite"),
+    ("1.0,0.1,0.01\n2.0,nan,0.01\n", "row 3: p_g = nan is not finite"),
+], ids=["nan-sigma", "nan-time", "inf-sigma", "nan-p_g"])
+def test_fit_rabi_rejects_malformed_data(tmp_path, capsys, rows, message):
+    data = tmp_path / "data.csv"
+    data.write_text("t_us,p_g,sigma\n" + rows + "3.0,0.2,0.01\n")
+    code = run_cli("fit-rabi", "--data", str(data), "--free", "gamma3")
+    assert code == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+def test_ingest_names_the_file_line_past_blank_lines(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("t_us,p_g\n1.0,0.1\n\n2.0,0.4\n3.0,nan\n")
+    with pytest.raises(models.ValidationError, match="row 5: p_g = nan"):
+        cli.ingest_series(str(data), fitting.TimeConvention.TRUE)
+
+
+def test_fit_rabi_rejects_duplicate_free_parameter(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("t_us,p_g\n1.0,0.1\n2.0,0.4\n3.0,0.2\n4.0,0.6\n")
+    code = run_cli("fit-rabi", "--data", str(data), "--free", "gamma1,gamma1")
+    assert code == cli.EXIT_VALIDATION
+    assert "listed twice: gamma1" in capsys.readouterr().err
+
+
+def test_fit_rabi_rate_and_spread_have_finite_errors(tmp_path, params, paper_rates,
+                                                     geometry, capsys):
+    ts = np.arange(1.0, 201.0) * 1e-6
+    truth = dephase.convolve_pg(paper_rates, 0.0466, params, geometry, 2.37e-6, ts)
+    data = np.clip(truth + np.random.default_rng(2).normal(scale=0.01, size=ts.size), 0, 1)
+    path = tmp_path / "data.csv"
+    cli.emit_series(str(path), fitting.ExperimentSeries(
+        ts, data, np.full(ts.size, 0.01), fitting.TimeConvention.TRUE))
+    code = run_cli("fit-rabi", "--data", str(path), "--profile", "gaussian",
+                   "--delta-t-us", "2.37", "--free", "gamma1,delta_t")
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert "converged = True" in printed
+    assert "inf" not in printed and "nan" not in printed
+
+
 def test_fit_q_command(capsys):
     assert run_cli("fit-q", "--end-us", "430", "--step-us", "1",
                    "--q-target", "7e7", "--time-convention", "effective") == 0

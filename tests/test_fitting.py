@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -253,3 +254,166 @@ def test_series_validation():
     with pytest.raises(ValidationError):
         ExperimentSeries(np.array([1.0, 2.0]), np.array([0.1, 0.2]),
                          np.array([0.1, 0.0]), TimeConvention.TRUE)
+
+
+# ---------------------------------------------------------------------------
+# Pinned fits, step sizing and stopping
+# ---------------------------------------------------------------------------
+
+def _digest(result) -> str:
+    """sha256 of a fit's parameters, residual sum and iteration count.
+
+    The pinned digests were taken before the difference step became relative
+    to each parameter's starting value, with numpy 2.4 and glibc's libm on
+    x86-64 Linux; a fit whose parameters start at or above 1 must reproduce
+    them bit for bit.  A platform whose exp or BLAS rounds differently gives
+    other digests.
+    """
+    key = (sorted((n, float(v)) for n, v in result.params.items()),
+           float(result.rss), result.iterations)
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+def test_tied_fit_is_pinned(params, geometry, paper_rates):
+    rng = np.random.default_rng(11)
+    ts = np.arange(1.0, 201.0) * 1e-6
+    truth = cf.opencavity_pg(paper_rates, 0.0466, params, evolve.true_time(ts, geometry),
+                             geometry=geometry)
+    data = np.clip(truth + rng.normal(scale=0.01, size=ts.size), 0.0, 1.0)
+    series = ExperimentSeries(ts, data, np.full(ts.size, 0.01), TimeConvention.EFFECTIVE)
+    config = fitting.RabiFitConfig(params, geometry, 0.0466, gamma1=25.0, gamma2=25.0,
+                                   gamma3=0.1 * params.g)
+    result = fitting.fit_rabi(series, config, ("gamma1", "gamma3"), tie_gammas=True)
+    assert result.converged
+    assert _digest(result) == "75295ec28f02fdfefaa8e512f58045321feabfb628765879cc011b224a159157"
+
+
+def test_q_fit_is_pinned(params, paper_rates, monkeypatch):
+    results = []
+
+    def spy(problem, **kw):
+        results.append(levenberg_marquardt(problem, **kw))
+        return results[-1]
+
+    monkeypatch.setattr(fitting, "levenberg_marquardt", spy)
+    ts = np.linspace(0.0, 430e-6, 431)
+    curve = cf.energy_mean(paper_rates, 0.0466, params, ts)
+    curve = curve + np.random.default_rng(12).normal(scale=1e-8 * params.omega0, size=ts.size)
+    q = fitting.fit_q(ts, curve, 0.0466, params, TimeConvention.TRUE)
+    assert results[0].params["q"] == q
+    assert results[0].converged
+    assert _digest(results[0]) == "c0516c387e7ba87ee5ad1fecd7da8916590f72138ed69ab94cf7aac5fa30e7fa"
+
+
+def test_microsecond_scale_parameter_converges_quickly():
+    # a decay time of 2 us: a difference step of 1e-7 in absolute terms is a
+    # 5 % secant, and the absolute gradient test never fires; with the step
+    # sized to the parameter the fit ends in a few iterations
+    rng = np.random.default_rng(0)
+    t = np.linspace(0.0, 1e-5, 60)
+
+    def model(p, ts):
+        return np.exp(-ts / p["tau"])
+
+    sigma = np.full(t.size, 0.01)
+    y = model({"tau": 2.0e-6}, t) + rng.normal(scale=0.01, size=t.size)
+    result = levenberg_marquardt(FitProblem(model, t, y, sigma, ("tau",), {"tau": 3e-6}))
+    assert result.converged
+    assert result.iterations <= 6
+    # a Gauss-Newton step with the analytic derivative moves it by a
+    # negligible fraction of its error bar
+    tau = result.params["tau"]
+    r = (model(result.params, t) - y) / sigma
+    dr = model(result.params, t) * t / tau**2 / sigma
+    assert result.stderr["tau"] == pytest.approx(1.0 / np.linalg.norm(dr), rel=1e-5)
+    assert abs(dr @ r) / (dr @ dr) <= 1e-3 * result.stderr["tau"]
+
+
+def test_gamma1_delta_t_fit_has_finite_stderrs(params, geometry, paper_rates):
+    # the rate and the timing spread differ by ten decades in magnitude but
+    # are well separated in the data; both get finite error bars, and the fit
+    # stops within a few steps of reaching its optimum
+    rng = np.random.default_rng(6)
+    ts = np.arange(1.0, 201.0) * 1e-6
+    truth = dephase.convolve_pg(paper_rates, 0.0466, params, geometry, 2.37e-6, ts)
+    data = np.clip(truth + rng.normal(scale=0.01, size=ts.size), 0.0, 1.0)
+    series = ExperimentSeries(ts, data, np.full(ts.size, 0.01), TimeConvention.TRUE)
+    config = fitting.RabiFitConfig(params, geometry, 0.0466, gamma1=17.73, gamma2=17.73,
+                                   gamma3=0.07 * params.g, delta_t=2.37e-6)
+    result = fitting.fit_rabi(series, config, ("gamma1", "delta_t"))
+    assert result.converged
+    assert result.iterations <= 8
+    assert result.degenerate == ()
+    for name, true in (("gamma1", 17.73), ("delta_t", 2.37e-6)):
+        err = result.stderr[name]
+        assert math.isfinite(err) and err > 0.0
+        assert abs(result.params[name] - true) <= 5.0 * err
+
+
+def test_stderr_is_independent_of_parameter_units():
+    # rescaling a parameter's unit rescales its error bar and nothing else
+    t = np.linspace(0.0, 4.0, 30)
+    y = 1.3 * np.exp(-0.7 * t) + 0.02 * np.sin(9.0 * t)
+
+    def fit(unit):
+        def model(p, ts):
+            return p["a"] * np.exp(-p["k"] * unit * ts)
+
+        problem = FitProblem(model, t, y, None, ("a", "k"), {"a": 1.3, "k": 0.7 / unit})
+        return levenberg_marquardt(problem)
+
+    base, scaled = fit(1.0), fit(1e9)
+    assert math.isfinite(scaled.stderr["k"])
+    assert scaled.stderr["k"] * 1e9 == pytest.approx(base.stderr["k"], rel=1e-5)
+    assert scaled.stderr["a"] == pytest.approx(base.stderr["a"], rel=1e-5)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("times", math.nan), ("p_g", math.nan), ("sigma", math.nan),
+    ("sigma", math.inf), ("times", math.inf),
+])
+def test_series_rejects_non_finite_values(field, bad):
+    arrays = {"times": np.array([1.0, 2.0, 3.0]), "p_g": np.array([0.1, 0.2, 0.3]),
+              "sigma": np.array([0.01, 0.01, 0.01])}
+    arrays[field][2] = bad
+    with pytest.raises(ValidationError, match=rf"{field}\[2\] = .* is not finite"):
+        ExperimentSeries(arrays["times"], arrays["p_g"], arrays["sigma"],
+                         TimeConvention.TRUE)
+
+
+@pytest.mark.parametrize("field", ["times", "values", "sigma"])
+def test_fit_problem_rejects_non_finite_values(field):
+    arrays = {"times": np.arange(4.0), "values": np.arange(4.0), "sigma": np.ones(4)}
+    arrays[field][1] = math.nan
+    with pytest.raises(ValidationError, match=rf"{field}\[1\] = nan is not finite"):
+        FitProblem(lambda p, ts: p["a"] * ts, arrays["times"], arrays["values"],
+                   arrays["sigma"], ("a",), {"a": 1.0})
+
+
+def test_duplicate_free_parameters_rejected(params, geometry):
+    with pytest.raises(ValidationError, match="listed twice: a"):
+        FitProblem(lambda p, ts: p["a"] * ts, np.arange(4.0), np.arange(4.0), None,
+                   ("a", "a"), {"a": 1.0})
+    ts = np.arange(1.0, 10.0) * 1e-6
+    series = ExperimentSeries(ts, np.full_like(ts, 0.4), None, TimeConvention.TRUE)
+    config = fitting.RabiFitConfig(params, geometry, 0.0466, 17.73, 17.73, 100.0)
+    with pytest.raises(ValidationError, match="listed twice: gamma1"):
+        fitting.fit_rabi(series, config, free=("gamma1", "gamma3", "gamma1"))
+
+
+@pytest.mark.parametrize("x0", [{"a": 1.0, "b": 1.0}, {"a": 3.0, "b": 0.2},
+                                {"a": 0.0, "b": 0.0}])
+def test_parameter_held_on_its_bound(x0):
+    # the unconstrained intercept is negative; with b >= 0 the optimum is
+    # b = 0 and the least-squares slope through the origin, from any start
+    rng = np.random.default_rng(0)
+    t = np.linspace(0.0, 5.0, 30)
+    y = 1.7 * t - 0.4 + rng.normal(scale=0.05, size=t.size)
+
+    def model(p, ts):
+        return p["a"] * ts + p["b"]
+
+    result = levenberg_marquardt(FitProblem(model, t, y, None, ("a", "b"), x0, {"b": 0.0}))
+    assert result.converged
+    assert result.params["b"] == 0.0
+    assert result.params["a"] == pytest.approx((t @ y) / (t @ t), rel=1e-9)
