@@ -256,6 +256,20 @@ def _expm_rows(a: np.ndarray, dt: np.ndarray) -> np.ndarray:
     return result
 
 
+def _midpoint_couplings(g_peak: float, geom: CavityGeometry, n: int) -> np.ndarray:
+    """Profile couplings at the crossing fractions (j + 1/2)/n, j = 0..n-1.
+
+    The first half is evaluated and mirrored onto the second, so positions
+    symmetric about the center get bit-equal couplings (evaluating
+    1 - (j + 1/2)/n directly does not round symmetrically).
+    """
+    half = (n + 1) // 2
+    gs = np.empty(n)
+    gs[:half] = gaussian_coupling(g_peak, geom, 1.0, (np.arange(half) + 0.5) / n)
+    gs[n - half:] = gs[:half][::-1]
+    return gs
+
+
 def nstep_propagate(kind: ModelKind, params: PhysicalParams,
                     geom: CavityGeometry | None, rho0: DensityMatrix,
                     t, n: int) -> DensityMatrix:
@@ -279,8 +293,7 @@ def nstep_propagate(kind: ModelKind, params: PhysicalParams,
     # Boolean (I | P)^8 links each index to every index it reaches along the pattern P.
     pattern = np.eye(v0.size, dtype=bool) | (l0 != 0) | (slope != 0)
     block = np.flatnonzero(np.linalg.matrix_power(pattern, v0.size - 1) @ (v0 != 0))
-    gs = (np.full(n, params.g) if geom is None
-          else gaussian_coupling(params.g, geom, 1.0, (np.arange(n) + 0.5) / n))
+    gs = np.full(n, params.g) if geom is None else _midpoint_couplings(params.g, geom, n)
     unique_gs, order = np.unique(gs, return_inverse=True)   # a constant profile has one
     sub = np.ix_(block, block)
     gens = l0[sub] + unique_gs[:, None, None] * slope[sub]

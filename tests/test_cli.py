@@ -502,7 +502,7 @@ def test_energy_rejects_negative_spread(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is only needed for quadrature, which no CLI command runs
+    # scipy is a test-only dependency: nothing under src/ imports it
     code = ("import sys, rabicav.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.dirname(os.path.dirname(rabicav.__file__))

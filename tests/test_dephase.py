@@ -52,6 +52,44 @@ def test_kernel_passes_constants_through_quadrature():
         assert value == pytest.approx(0.7, rel=1e-9)
 
 
+def _quad_oracle(func, t, dt):
+    upper = t + 12.0 * math.sqrt(t * dt) + 40.0 * dt
+    value, _ = quad(lambda tp: dephase.gamma_kernel(t, tp, dt) * func(tp),
+                    0.0, upper, epsabs=1e-12, epsrel=1e-9, limit=400)
+    return value
+
+
+def test_gauss_rule_matches_adaptive_quadrature(params, paper_rates, geometry):
+    # criterion 9's nine (t, dt) points, and the degenerate-gap curve
+    degenerate = models.DecayRates.simplified(1000.0, 1000.0, 46.6, 0.0466)
+    cases = [(paper_rates, t, dt * 1e-6) for dt in (0.5, 2.37, 5.0)
+             for t in (50e-6, 200e-6, 430e-6)]
+    cases += [(degenerate, 60e-6, 1e-6), (degenerate, 5e-6, 2.37e-6)]
+    for rates, t, dt in cases:
+        def curve(tp):
+            return cf.opencavity_pg(rates, 0.0466, params, tp, geometry=geometry)
+        assert abs(dephase._quadrature(curve, t, dt) - _quad_oracle(curve, t, dt)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [0.42, 1.0, 2.1, 40.0, 860.0])
+def test_gauss_rule_reproduces_kernel_moments(shape):
+    _, weights = dephase._gamma_gauss_rule(shape, 32)
+    assert math.fsum(weights) == pytest.approx(1.0, rel=1e-12)
+    dt = 2.37e-6
+    t = shape * dt
+    mean = dephase._quadrature(lambda tp: tp, t, dt)
+    var = dephase._quadrature(lambda tp: (tp - t) ** 2, t, dt)
+    assert mean == pytest.approx(t, rel=1e-12)
+    assert var == pytest.approx(t * dt, rel=1e-12)
+
+
+@pytest.mark.parametrize("t, dt", [(200e-6, 2.37e-6), (5e-6, 2.37e-6)])
+def test_quadrature_refuses_an_unresolved_integrand(t, dt):
+    # a step at the mean: no Gauss rule converges on it, and no value is returned
+    with pytest.raises(ValidationError, match="did not converge"):
+        dephase._quadrature(lambda tp: 1.0 if tp < t else 0.0, t, dt)
+
+
 def test_exponential_moment_identity():
     # gamma-kernel image of e^{-kappa t'} is the power law (1 + kappa dt)^{-t/dt}
     kappa, t, dt = 5177.0, 200e-6, 2.37e-6

@@ -116,6 +116,15 @@ def test_gaussian_coupling_integral(params, geometry):
                                   rel=1e-7)
 
 
+@pytest.mark.parametrize("n", [2001, 20001])
+def test_midpoint_couplings_are_mirrored(params, geometry, n):
+    gs = evolve._midpoint_couplings(params.g, geometry, n)
+    assert np.array_equal(gs, gs[::-1])
+    assert np.unique(gs).size == (n + 1) // 2
+    direct = evolve.gaussian_coupling(params.g, geometry, 1.0, (np.arange(n) + 0.5) / n)
+    assert np.max(np.abs(gs - direct)) <= 1e-15 * params.g
+
+
 def test_effective_time_values(geometry):
     assert evolve.effective_time(1.0, geometry) == pytest.approx(0.21128, abs=1e-4)
     assert evolve.effective_time(220e-6, geometry) == pytest.approx(46.5e-6, abs=0.2e-6)
