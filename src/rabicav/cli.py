@@ -7,7 +7,8 @@ give byte-identical files.
 Units at the boundary: microseconds for times, angular rates (1/s) for the
 gammas, millimeters for the geometry, rad/s for omega0 and g.
 
-Exit codes: 0 success, 2 usage/config error, 3 validation error,
+Exit codes: 0 success, 2 usage/config error, 3 validation error (a rate
+that overflows a closed form and an RK step-size underflow included),
 4 fit non-convergence.
 """
 
@@ -167,8 +168,14 @@ class RunConfig:
         return models.OpenCavity(self.rates())
 
     def grid_us(self) -> np.ndarray:
-        n = int(round((self.end_us - self.start_us) / self.step_us))
-        return self.start_us + self.step_us * np.arange(n + 1)
+        """start_us, start_us + step_us, ... up to end_us; raises ConfigError
+        naming step_us when the grid has more points than can be allocated."""
+        steps = (self.end_us - self.start_us) / self.step_us
+        try:
+            return self.start_us + self.step_us * np.arange(int(round(steps)) + 1)
+        except (OverflowError, ValueError, MemoryError):
+            raise ConfigError(f"config field 'step_us' = {self.step_us!r} gives {steps:.3e} "
+                              f"grid steps, too many to allocate") from None
 
 
 def fmt(value) -> str:
@@ -421,6 +428,10 @@ def cmd_davies_check(args) -> int:
     config = RunConfig.load(args)
     params = config.params()
     alpha, beta = args.alpha, args.beta
+    for flag, value in (("--alpha", alpha), ("--beta", beta)):
+        if not 0.0 < value * value < math.inf:   # the weights divide by its square
+            raise ConfigError(f"{flag} must be nonzero and finite, with a square "
+                              f"in the float range, got {value!r}")
     ops = davies.davies_decompose(alpha, beta, args.n_max, params)
     comm = davies.commutation_defect(ops, args.n_max, params)
     w_down = {params.omega0 + params.g: config.gamma1 / alpha ** 2,
@@ -518,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValidationError as exc:
+    except (ValidationError, evolve.StepUnderflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

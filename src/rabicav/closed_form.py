@@ -164,7 +164,10 @@ def phenom_T0_rho(g: float, gamma: float, t) -> DensityMatrix:
                     + 2.0 * gamma * g / d2 * dch)
         return r11.real, r22.real, r33.real, r12.imag
 
-    r = elementwise(entries, ts).reshape(-1, 4)
+    try:
+        r = elementwise(entries, ts).reshape(-1, 4)
+    except OverflowError:   # gamma ** 3 beyond the float range
+        raise ValidationError(f"gamma = {gamma!r} is too large: the closed form overflows") from None
     m01 = 1j * r[:, 3]
     return _state(r[:, :3], m01, -m01, Basis.BARE, t, "hyperbolic" if d2 > 0 else None)
 
@@ -229,7 +232,10 @@ def _gap(rates: DecayRates) -> tuple[complex | float, bool]:
     |S| <= 1e-12 times the total rate."""
     g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
     ga, gb, gc = rates.gamma_a, rates.gamma_b, rates.gamma_c
-    s2 = (g1 - g2 + g3 - ga - gb + gc) ** 2 + 4.0 * (g1 - g2) * (ga - gc)
+    try:
+        s2 = (g1 - g2 + g3 - ga - gb + gc) ** 2 + 4.0 * (g1 - g2) * (ga - gc)
+    except OverflowError:
+        raise ValidationError("decay rates are too large: the gap S^2 overflows") from None
     s = cmath.sqrt(s2)
     if s.imag == 0.0:
         s = s.real

@@ -14,13 +14,13 @@ import numpy as np
 
 # Tolerance constants, centralized.  Validation checks on operation inputs use
 # VALIDATION_TOL; freshly constructed analytic states are held to the strict
-# budgets; states coming out of step-by-step numerics are allowed to drift up
-# to TRAJECTORY_TOL.
+# budgets; every state, including those coming out of step-by-step numerics,
+# may drift up to _TRAJECTORY_TOL.
 VALIDATION_TOL = 1e-10
 STRICT_TRACE_TOL = 1e-12
 STRICT_HERM_TOL = 1e-12
 STRICT_EIG_TOL = 1e-10
-TRAJECTORY_TOL = 1e-9
+_TRAJECTORY_TOL = 1e-9
 
 ALLOWED_DIMS = (2, 3, 4, 9)
 
@@ -103,14 +103,14 @@ class DensityMatrix:
     eigen-propagation in place of a degenerate closed form).
 
     Construction always enforces the loose trajectory budget (drift <= 1e-9,
-    min eigenvalue >= -1e-9); analytic producers call :meth:`validate` with
+    min eigenvalue >= -1e-9); analytic producers call :meth:`validate` for
     the strict budget on top of that.
     """
 
     matrix: np.ndarray
     basis: Basis
     note: str | None = None
-    _min_eig: float | np.ndarray = field(init=False, repr=False, default=0.0)
+    _min_eig: float | np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -121,8 +121,7 @@ class DensityMatrix:
             raise ValidationError(
                 f"dimension {m.shape[-1]} inconsistent with basis {self.basis}")
         object.__setattr__(self, "matrix", m)
-        self.validate(trace_tol=TRAJECTORY_TOL, herm_tol=TRAJECTORY_TOL,
-                      eig_tol=TRAJECTORY_TOL)
+        self._check((_TRAJECTORY_TOL,) * 3)
 
     @property
     def dim(self) -> int:
@@ -153,32 +152,38 @@ class DensityMatrix:
     def min_eigenvalue(self):
         return self._min_eig
 
-    def validate(self, trace_tol: float = STRICT_TRACE_TOL,
-                 herm_tol: float = STRICT_HERM_TOL,
-                 eig_tol: float = STRICT_EIG_TOL) -> "DensityMatrix":
+    def validate(self) -> "DensityMatrix":
+        """Hold the state to the strict budgets: trace and Hermiticity defects
+        <= 1e-12, minimum eigenvalue >= -1e-10 (the one measured at construction)."""
+        return self._check((STRICT_TRACE_TOL, STRICT_HERM_TOL, STRICT_EIG_TOL))
+
+    def _check(self, budget: tuple[float, float, float]) -> "DensityMatrix":
+        max_trace, max_herm, max_neg = budget
         stack = self.matrix.reshape(-1, self.dim, self.dim)
         where = "state {}: " if self.matrix.ndim == 3 else ""
-        if not np.isfinite(stack).all():
-            i = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
-            raise ValidationError(where.format(i) + "matrix entries must be finite")
+        if self._min_eig is None:   # construction measures the spectrum, once
+            if not np.isfinite(stack).all():
+                i = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
+                raise ValidationError(where.format(i) + "matrix entries must be finite")
+            w = np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack.conj(), 1, 2)))[:, 0]
+            object.__setattr__(self, "_min_eig", float(w[0]) if self.matrix.ndim == 2 else w)
         trace = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
         herm = hermiticity_defect(stack)
-        w = np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack.conj(), 1, 2)))[:, 0]
-        object.__setattr__(self, "_min_eig", float(w[0]) if self.matrix.ndim == 2 else w)
-        failed = (trace > trace_tol) | (herm > herm_tol) | (w < -eig_tol)
+        w = np.atleast_1d(self._min_eig)
+        failed = (trace > max_trace) | (herm > max_herm) | (w < -max_neg)
         if failed.any():
             i = int(np.argmax(failed))
-            if trace[i] > trace_tol:
-                problem = f"trace defect {trace[i]:.3e} > {trace_tol:.0e}"
-            elif herm[i] > herm_tol:
-                problem = f"hermiticity defect {herm[i]:.3e} > {herm_tol:.0e}"
+            if trace[i] > max_trace:
+                problem = f"trace defect {trace[i]:.3e} > {max_trace:.0e}"
+            elif herm[i] > max_herm:
+                problem = f"hermiticity defect {herm[i]:.3e} > {max_herm:.0e}"
             else:
-                problem = f"minimum eigenvalue {w[i]:.3e} < -{eig_tol:.0e}"
+                problem = f"minimum eigenvalue {w[i]:.3e} < -{max_neg:.0e}"
             raise ValidationError(where.format(i) + problem)
         return self
 
 
-def hermitian_eigen(matrix: np.ndarray, tol: float = VALIDATION_TOL):
+def hermitian_eigen(matrix: np.ndarray):
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
 
     Returns ``(eigenvalues, eigenvectors)`` with orthonormal eigenvector
@@ -186,7 +191,7 @@ def hermitian_eigen(matrix: np.ndarray, tol: float = VALIDATION_TOL):
     """
     m = as_square_matrix(matrix)
     scale = max(1.0, float(np.max(np.abs(m))))
-    if hermiticity_defect(m) > tol * scale:
+    if hermiticity_defect(m) > VALIDATION_TOL * scale:
         raise ValidationError(
             f"matrix is not Hermitian (defect {hermiticity_defect(m):.3e})")
     w, v = np.linalg.eigh(m)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Basis, ValidationError
 from .models import (
-    HBAR, K_B, Liouvillian, PhysicalParams, dissipator_superop,
+    Liouvillian, PhysicalParams, boltzmann_exponent, dissipator_superop,
     dressed_hamiltonian, hamiltonian_superop,
 )
 
@@ -49,15 +49,13 @@ class SpectralWeights:
 
     weights: dict[float, float]
     temperature: float
-    hbar: float = HBAR
-    kb: float = K_B
 
     def __post_init__(self):
         for w, g in self.weights.items():
             if w <= 0:
                 raise ValidationError("spectral weights are keyed by positive frequencies")
-            if g < 0:
-                raise ValidationError("spectral weights must be >= 0")
+            if not 0.0 <= g < math.inf:
+                raise ValidationError("spectral weights must be finite and >= 0")
         if self.temperature < 0:
             raise ValidationError("temperature must be >= 0")
 
@@ -72,9 +70,7 @@ class SpectralWeights:
             raise ValidationError(f"no spectral weight for Bohr frequency {down:.6e}")
         if omega > 0:
             return g
-        if self.temperature == 0.0:
-            return 0.0
-        return math.exp(-self.hbar * down / (self.kb * self.temperature)) * g
+        return math.exp(-boltzmann_exponent(down, self.temperature)) * g
 
 
 def _ladder(n_max: int, params: PhysicalParams):
@@ -115,7 +111,7 @@ def _ladder(n_max: int, params: PhysicalParams):
 
 
 def davies_decompose(alpha: float, beta: float, n_max: int,
-                     params: PhysicalParams | None = None) -> list[DaviesOperator]:
+                     params: PhysicalParams) -> list[DaviesOperator]:
     """Split alpha*(a + a+) + beta*a+a into Bohr-frequency eigenoperators.
 
     Operators are returned for every Bohr frequency present (positive,
@@ -124,7 +120,6 @@ def davies_decompose(alpha: float, beta: float, n_max: int,
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    params = params or PhysicalParams()
     a, number, u, energies = _ladder(n_max, params)
     coupling = alpha * (a + a.conj().T) + beta * np.diag(number).astype(complex)
     dressed = u.conj().T @ coupling @ u
@@ -160,7 +155,7 @@ def commutation_defect(ops: list[DaviesOperator], n_max: int, params: PhysicalPa
 
 
 def assemble_generator(ops: list[DaviesOperator], weights: SpectralWeights,
-                       params: PhysicalParams | None = None) -> Liouvillian:
+                       params: PhysicalParams) -> Liouvillian:
     """Weak-coupling generator on the lowest manifold from the jump operators.
 
     Each operator is projected onto the three-level subspace (O+, O-, O0);
@@ -168,7 +163,6 @@ def assemble_generator(ops: list[DaviesOperator], weights: SpectralWeights,
     the upward one with the thermally paired gamma(-w).  Energy shifts are
     dropped throughout.
     """
-    params = params or PhysicalParams()
     mat = hamiltonian_superop(dressed_hamiltonian(params))
     for op in ops:
         if op.bohr_frequency <= 0.0:

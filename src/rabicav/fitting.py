@@ -3,10 +3,10 @@
 The solver keeps the classic recipe: damped scaled normal equations with the
 damping factor multiplied by 10 whenever a step raises the cost and divided
 by 10 on acceptance, and a forward-difference Jacobian.  The difference step
-of a parameter x is ``rel_step * max(|x|, s)`` with ``s = min(|x0|, 1)`` from
+of a parameter x is ``REL_STEP * max(|x|, s)`` with ``s = min(|x0|, 1)`` from
 its starting value (``s = 1`` where x0 = 0), so a timing spread of 2.4e-6 s
 gets a step of 2.4e-13 s rather than a 4 % secant, while a parameter that
-starts at or above 1 keeps the step ``rel_step * max(|x|, 1)``.
+starts at or above 1 keeps the step ``REL_STEP * max(|x|, 1)``.
 
 Trial points are clamped to the lower bounds.  A parameter sitting on its
 bound while the gradient pushes it further down is held there: it is left
@@ -14,20 +14,24 @@ out of the step and of the gradient test.
 
 The iteration stops, converged, on the first of three rules:
 
-* the gradient norm drops below ``grad_tol * (1 + cost)``;
-* the step actually taken (after clamping) has norm below ``step_tol``;
+* the gradient norm drops below ``GRAD_TOL * (1 + cost)``;
+* the step actually taken (after clamping) has norm below ``STEP_TOL``;
 * a trial step is rejected and the linear model predicts it lowers the cost
   by no more than ``len(r) * eps * cost``, the rounding floor of the cost
   itself.  A larger damping factor only shortens that step, so no further
   progress is possible.
 
 It gives up, unconverged, when the damping factor passes 1e14 or after
-``max_iter`` iterations.  Standard errors come from the final Jacobian with
+``MAX_ITER`` iterations.  Standard errors come from the final Jacobian with
 its columns scaled to unit norm, so parameters of very different magnitude
 are not mistaken for a singular direction.  Flat parameter directions (zero
 Jacobian columns) are tolerated -- the parameter simply stays put and its
 standard error diverges -- but a completely insensitive model raises a
 rank-deficiency error naming the dead parameters.
+
+The solver's five settings are module constants, the same for every fit:
+``LAMBDA0 = 1e-3``, ``REL_STEP = 1e-7``, ``GRAD_TOL = 1e-8``,
+``STEP_TOL = 1e-12`` and ``MAX_ITER = 500``.
 """
 
 from __future__ import annotations
@@ -44,6 +48,12 @@ from .closed_form import energy_mean_asymptote
 from .dephase import convolve_pg
 from .evolve import CavityGeometry, true_time
 from .models import DecayRates, PhysicalParams
+
+LAMBDA0 = 1e-3
+REL_STEP = 1e-7
+GRAD_TOL = 1e-8
+STEP_TOL = 1e-12
+MAX_ITER = 500
 
 
 def _require_finite(name: str, values: np.ndarray) -> None:
@@ -153,11 +163,11 @@ def _residuals(problem: FitProblem, params: dict[str, float]) -> np.ndarray:
 
 
 def _jacobian(problem: FitProblem, params: dict[str, float], r0: np.ndarray,
-              rel_step: float, floor: Mapping[str, float]) -> np.ndarray:
+              floor: Mapping[str, float]) -> np.ndarray:
     cols = []
     for name in problem.names:
         p = dict(params)
-        h = rel_step * max(abs(p[name]), floor[name])
+        h = REL_STEP * max(abs(p[name]), floor[name])
         p[name] = params[name] + h
         # divide by the step actually applied, not the nominal one
         h_eff = p[name] - params[name]
@@ -165,9 +175,7 @@ def _jacobian(problem: FitProblem, params: dict[str, float], r0: np.ndarray,
     return np.column_stack(cols)
 
 
-def levenberg_marquardt(problem: FitProblem, *, max_iter: int = 500,
-                        grad_tol: float = 1e-8, step_tol: float = 1e-12,
-                        rel_step: float = 1e-7, lambda0: float = 1e-3) -> FitResult:
+def levenberg_marquardt(problem: FitProblem) -> FitResult:
     """Minimize the weighted residual sum of squares.
 
     The stopping rules are those of the module docstring; the cost never
@@ -176,22 +184,22 @@ def levenberg_marquardt(problem: FitProblem, *, max_iter: int = 500,
     params = {n: float(problem.x0[n]) for n in problem.names}
     lower = {n: problem.lower.get(n, -math.inf) for n in problem.names}
     # floor of the difference step's scale; a start too small for
-    # rel_step * |x0| to be a normal float counts as zero
+    # REL_STEP * |x0| to be a normal float counts as zero
     floor = {n: min(abs(x), 1.0) if abs(x) >= np.finfo(float).tiny else 1.0
              for n, x in params.items()}
     r = _residuals(problem, params)
     cost = float(r @ r)
     rounding_floor = r.size * np.finfo(float).eps
-    lam = lambda0
+    lam = LAMBDA0
     n_iter = 0
     converged = False
-    jac = _jacobian(problem, params, r, rel_step, floor)
+    jac = _jacobian(problem, params, r, floor)
 
     col_norms = np.linalg.norm(jac, axis=0)
     if np.all(col_norms == 0.0):
         raise RankDeficiencyError(problem.names)
 
-    while n_iter < max_iter:
+    while n_iter < MAX_ITER:
         n_iter += 1
         grad = jac.T @ r
         # held: on the lower bound with the descent direction pointing below it
@@ -200,7 +208,7 @@ def levenberg_marquardt(problem: FitProblem, *, max_iter: int = 500,
         if any(held):
             moving = ~np.array(held)
             grad[~moving] = 0.0
-        if np.linalg.norm(grad) <= grad_tol * (1.0 + cost):
+        if np.linalg.norm(grad) <= GRAD_TOL * (1.0 + cost):
             converged = True
             break
         sub = jac[:, moving]
@@ -215,7 +223,7 @@ def levenberg_marquardt(problem: FitProblem, *, max_iter: int = 500,
         trial = {n: max(params[n] + s, lower[n])
                  for n, s in zip(problem.names, step)}
         actual_step = np.array([trial[n] - params[n] for n in problem.names])
-        if np.linalg.norm(actual_step) <= step_tol:
+        if np.linalg.norm(actual_step) <= STEP_TOL:
             converged = True
             break
         r_trial = _residuals(problem, trial)
@@ -223,7 +231,7 @@ def levenberg_marquardt(problem: FitProblem, *, max_iter: int = 500,
         if np.isfinite(cost_trial) and cost_trial < cost:
             params, r, cost = trial, r_trial, cost_trial
             lam = max(lam / 10.0, 1e-14)
-            jac = _jacobian(problem, params, r, rel_step, floor)
+            jac = _jacobian(problem, params, r, floor)
         else:
             # the linear model's gain on the unclamped step: a clamped one
             # can point uphill without the fit having converged

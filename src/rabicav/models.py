@@ -43,8 +43,6 @@ class PhysicalParams:
     omega0: float = 2.0 * math.pi * 51.099e9
     g: float = 47.0 * math.pi * 1e3
     temperature: float = 0.8
-    hbar: float = HBAR
-    kb: float = K_B
 
     def __post_init__(self):
         if self.omega0 <= 0 or self.g <= 0:
@@ -53,23 +51,26 @@ class PhysicalParams:
             raise ValidationError("temperature must be non-negative")
 
 
+def boltzmann_exponent(omega: float, temperature: float) -> float:
+    """hbar*omega/(k*T), infinite at ``temperature == 0``."""
+    if temperature == 0.0:
+        return math.inf
+    return HBAR * omega / (K_B * temperature)
+
+
 def kms_ratio(omega: float, params: PhysicalParams) -> float:
     """Thermal detailed-balance ratio exp(-hbar*omega/(k*T)).
 
-    At ``temperature == 0`` the ratio is 0 by convention (no upward jumps).
+    At ``temperature == 0`` the ratio is 0 (no upward jumps).
     """
-    if params.temperature == 0.0:
-        return 0.0
-    return math.exp(-params.hbar * omega / (params.kb * params.temperature))
+    return math.exp(-boltzmann_exponent(omega, params.temperature))
 
 
 def thermal_occupation(omega: float, params: PhysicalParams) -> float:
-    """Mean photon number 1/(exp(hbar*omega/kT) - 1) of a thermal mode."""
+    """Mean photon number 1/(exp(hbar*omega/kT) - 1) of a thermal mode (0 at T = 0)."""
     if omega <= 0:
         raise ValidationError("omega must be positive")
-    if params.temperature == 0.0:
-        return 0.0
-    return 1.0 / math.expm1(params.hbar * omega / (params.kb * params.temperature))
+    return 1.0 / math.expm1(boltzmann_exponent(omega, params.temperature))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -486,6 +487,50 @@ def test_simulate_rejects_negative_inputs(tmp_path, argv, message, capsys):
     out = tmp_path / "out.csv"
     assert run_cli("simulate", *argv, "-o", str(out)) == cli.EXIT_VALIDATION
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--gamma1", "1e300"), "the gap S^2 overflows"),
+    (("energy", "--gamma1", "1e300"), "the gap S^2 overflows"),
+    (("simulate", "--model", "phenom-t0", "--gamma", "1e300"), "gamma = 1e+300 is too large"),
+    (("simulate", "--model", "phenom-t", "--gamma", "1e300"), "step size underflow at t = 0"),
+])
+def test_extreme_rates_are_validation_errors(tmp_path, argv, message, capsys):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy warning would print more than one line
+        assert run_cli(*argv, "--end-us", "2", "-o", str(out)) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+@pytest.mark.parametrize("value", ["0", "-0", "1e-200", "inf", "nan"])
+def test_davies_check_rejects_degenerate_coupling(flag, value, capsys):
+    assert run_cli("davies-check", flag, value) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be nonzero and finite") and err.count("\n") == 1
+
+
+def test_davies_check_rejects_overflowing_weights(capsys):
+    # 1e-160 squared is a nonzero subnormal; gamma1 / alpha**2 overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("davies-check", "--alpha", "1e-160") == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: spectral weights must be finite and >= 0\n"
+
+
+# Grids numpy refuses before it allocates anything ("Maximum allowed size
+# exceeded"), or whose step count overflows to infinity.
+@pytest.mark.parametrize("end_us", ["2", "1e300"])
+def test_unallocatable_grid_is_usage_error(tmp_path, end_us, capsys):
+    out = tmp_path / "out.csv"
+    assert run_cli("simulate", "--end-us", end_us, "--step-us", "1e-300",
+                   "-o", str(out)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'step_us' = 1e-300 ") and err.count("\n") == 1
     assert not out.exists()
 
 

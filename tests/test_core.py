@@ -144,6 +144,24 @@ def test_density_matrix_stack_names_first_bad_index(bad, message):
         DensityMatrix(stack, Basis.BARE)
 
 
+_LOOSE_HERMITIAN = np.diag([0.5, 0.3, 0.2]).astype(complex)
+_LOOSE_HERMITIAN[0, 2] = 1e-11
+
+
+@pytest.mark.parametrize("member, message", [
+    (np.diag([0.5, 0.3, 0.2 + 1e-11]), r"trace defect 1\.000e-11 > 1e-12"),
+    (_LOOSE_HERMITIAN, r"hermiticity defect 1\.000e-11 > 1e-12"),
+    (np.diag([0.5 + 5e-10, 0.5, -5e-10]), r"minimum eigenvalue -5\.000e-10 < -1e-10"),
+])
+def test_member_between_budgets_constructs_but_fails_validate(member, message):
+    # within the 1e-9 construction budget, outside the strict one
+    stack = _good_stack()
+    stack[2] = member
+    rho = DensityMatrix(stack, Basis.BARE)
+    with pytest.raises(ValidationError, match=rf"^state 2: {message}$"):
+        rho.validate()
+
+
 def test_density_matrix_rejects_bad_stack_shapes():
     with pytest.raises(ValidationError):
         DensityMatrix(np.zeros((2, 2, 3, 3), dtype=complex), Basis.BARE)

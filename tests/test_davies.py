@@ -142,9 +142,15 @@ def test_weights_validation():
     assert w.rate(-1.0) == 0.0  # T = 0: no upward jumps
 
 
+@pytest.mark.parametrize("weight", [math.inf, math.nan])
+def test_weights_must_be_finite(weight):
+    with pytest.raises(ValidationError, match="finite"):
+        davies.SpectralWeights({1.0: weight}, 0.8)
+
+
 def test_kms_pairing_exact(params):
     w = davies.SpectralWeights({1e9: 2.0}, 0.8)
-    expected = 2.0 * math.exp(-params.hbar * 1e9 / (params.kb * 0.8))
+    expected = 2.0 * math.exp(-models.HBAR * 1e9 / (models.K_B * 0.8))
     assert w.rate(-1e9) == expected
 
 

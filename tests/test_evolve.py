@@ -80,17 +80,12 @@ def test_integrate_rejects_basis_mismatch(params):
         evolve.integrate(liou, rho0, 1e-5)
 
 
-def test_integrate_step_underflow_carries_time(params):
-    from types import SimpleNamespace
-    liou = models.build_liouvillian(models.PhenomT0(1.0), params)
-    bad = SimpleNamespace(matrix=np.full((9, 9), np.nan, dtype=complex), basis=Basis.BARE)
-
-    def at(t):
-        return liou if t < 5e-6 else bad
-
+def test_integrate_step_underflow_carries_time():
+    # e^{1e8 t} overflows near t = 7.1 us; the steps then collapse
+    liou = models.Liouvillian(1e8 * np.eye(9), Basis.BARE)
     rho0 = cf.initial_excited_state(Basis.BARE)
     with pytest.raises(evolve.StepUnderflowError) as err:
-        evolve.integrate(at, rho0, 1e-5)
+        evolve.integrate(liou, rho0, 1e-5)
     assert 0.0 < err.value.time <= 1e-5
 
 
@@ -259,27 +254,11 @@ def test_nstep_validation(params, paper_rates):
         evolve.nstep_propagate(kind, params, None, rho0, 1e-5, 2.5)
 
 
-def test_gaussian_liouvillian_matches_direct_build(params, paper_rates, geometry):
-    kind = models.OpenCavity(paper_rates)
-    t_total = 200e-6
-    at = evolve.gaussian_liouvillian(kind, params, geometry, t_total)
-    from dataclasses import replace
-    for tp in (10e-6, 100e-6, 190e-6):
-        g_t = evolve.gaussian_coupling(params.g, geometry, t_total, tp)
-        direct = models.build_liouvillian(kind, replace(params, g=g_t))
-        scale = np.max(np.abs(direct.matrix))
-        assert np.max(np.abs(at(tp).matrix - direct.matrix)) <= 1e-12 * scale
-
-
 def test_gaussian_integration_decays_like_constant(params, paper_rates, geometry):
     # profile only rephases the oscillation: |rho_+-| matches the constant run
     kind = models.OpenCavity(paper_rates)
     rho0 = cf.initial_excited_state(Basis.DRESSED)
-    t_total = 120e-6
-    ts = np.linspace(0.0, t_total, 7)[1:]
-    const = evolve.integrate(models.build_liouvillian(kind, params), rho0,
-                             t_total, t_eval=ts, rtol=1e-12, atol=1e-14)
-    gauss = evolve.integrate(evolve.gaussian_liouvillian(kind, params, geometry, t_total),
-                             rho0, t_total, t_eval=ts, rtol=1e-12, atol=1e-14)
-    for a, b in zip(const.states, gauss.states):
-        assert abs(abs(a.matrix[0, 1]) - abs(b.matrix[0, 1])) <= 1e-10
+    ts = np.linspace(0.0, 120e-6, 7)[1:]
+    const = evolve.nstep_propagate(kind, params, None, rho0, ts, 1)
+    gauss = evolve.nstep_propagate(kind, params, geometry, rho0, ts, 201)
+    assert np.max(np.abs(np.abs(const.matrix[:, 0, 1]) - np.abs(gauss.matrix[:, 0, 1]))) <= 1e-10

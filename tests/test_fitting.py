@@ -53,7 +53,7 @@ def test_affine_model_matches_normal_equations():
         return p["a"] * ts + p["b"]
 
     problem = FitProblem(model, t, y, None, ("a", "b"), {"a": 0.0, "b": 0.0})
-    result = levenberg_marquardt(problem, grad_tol=1e-14)
+    result = levenberg_marquardt(problem)
     design = np.column_stack([t, np.ones_like(t)])
     direct = np.linalg.solve(design.T @ design, design.T @ y)
     assert result.params["a"] == pytest.approx(direct[0], abs=1e-10)
