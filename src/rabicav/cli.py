@@ -8,8 +8,7 @@ Units at the boundary: microseconds for times, angular rates (1/s) for the
 gammas, millimeters for the geometry, rad/s for omega0 and g.
 
 Exit codes: 0 success, 2 usage/config error, 3 validation error (a rate
-that overflows a closed form and an RK step-size underflow included),
-4 fit non-convergence.
+that overflows a closed form included), 4 fit non-convergence.
 """
 
 from __future__ import annotations
@@ -317,13 +316,9 @@ def _simulate_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
         rho = cf.opencavity_rho(kind.rates, config.eps, params, ts, geometry=geom)
     elif name == "microscopic":  # gaussian profile, exact closed form
         rho = cf.microscopic_rho(params.g * geom.profile_mean, kind.gamma1, kind.gamma2, ts)
-    elif geom is None:  # phenom-t, constant coupling: numeric oracle
-        liou = models.build_liouvillian(kind, params)
+    else:  # phenom-t, or phenom-t0 with the gaussian profile: n-step product, exact at n = 1
         rho0 = cf.initial_excited_state(Basis.BARE)
-        rho = evolve.integrate(liou, rho0, ts[-1], t_eval=ts).states
-    else:  # phenom model with the gaussian profile: n-step product
-        rho0 = cf.initial_excited_state(Basis.BARE)
-        rho = evolve.nstep_propagate(kind, params, geom, rho0, ts, config.nstep)
+        rho = evolve.nstep_propagate(kind, params, geom, rho0, ts, config.nstep if geom else 1)
 
     pg = models.ground_state_probability(rho)
     if delta_t > 0.0:
@@ -529,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValidationError, evolve.StepUnderflowError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -6,8 +6,9 @@ decomposes over five of them, and the evolution is a plain sum of decaying
 exponentials, so every curve is one :class:`ExpSum`.  Degenerate parameter
 combinations (vanishing eigenvalue gap or vanishing decomposition
 denominators) have removable singularities that the formulas do not resolve;
-those inputs are routed to a numeric 9x9 eigen-propagation fallback, tagged
-``"fallback"``, whose spectrum gives the curves' sums.
+those inputs are routed to a fallback, tagged ``"fallback"``, that
+propagates the five-entry invariant block of |e,0><e,0| exactly, and whose
+five eigenvalues give the curves' sums.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Basis, DensityMatrix, ValidationError, elementwise, time_grid
-from .evolve import CavityGeometry, SQRT_PI
+from .evolve import CavityGeometry, SQRT_PI, _block_eigen
 from .models import (
-    DecayRates, OpenCavity, PhysicalParams, _unit, build_liouvillian,
-    dressed_hamiltonian, unvec, vec,
+    DecayRates, OpenCavity, PhysicalParams, _unit, dressed_hamiltonian, unvec, vec,
 )
 
 _DRESSED_INITIAL = np.array([
@@ -360,27 +360,28 @@ def _phase_coupling(params: PhysicalParams, geometry: CavityGeometry | None) -> 
 
 def _fallback(rates: DecayRates, params: PhysicalParams, t,
               geometry: CavityGeometry | None):
-    """Numeric eigen-propagation of the 9x9 generator (degenerate inputs).
+    """Exact propagation on the invariant block of |e,0><e,0| (degenerate inputs).
 
-    One eigendecomposition serves every time in ``t``.  Returns the states
-    at ``t``, tagged ``"fallback"``, the eigenvalues lam and the modes:
-    vec(rho(t)) = modes @ exp(lam t).  For the Gaussian profile the coupling
-    enters the generator only through the off-diagonal phases, so
-    propagating with the effective coupling reproduces the profile-averaged
-    state.
+    One eigendecomposition (:func:`rabicav.evolve._block_eigen`, which the
+    n-step propagator uses too) serves every time in ``t``.  Returns the
+    states at ``t``, tagged ``"fallback"``, the block's eigenvalues lam and
+    the modes: vec(rho(t)) = modes @ exp(lam t).  For the Gaussian profile
+    the coupling enters the generator only through the off-diagonal phases,
+    so propagating with the effective coupling reproduces the
+    profile-averaged state.
     """
     p = params if geometry is None else replace(params, g=_phase_coupling(params, geometry))
-    liou = build_liouvillian(OpenCavity(rates), p)
-    lam, vmat = np.linalg.eig(liou.matrix)
-    v0 = vec(initial_excited_state(Basis.DRESSED).matrix)
-    w = np.linalg.solve(vmat, v0)
+    rho0 = initial_excited_state(Basis.DRESSED)
+    block, _, lam, vmat = _block_eigen(OpenCavity(rates), p, np.array([p.g]), rho0)
+    lam, vmat = lam[0], vmat[0]
+    modes = np.zeros((9, block.size), dtype=complex)
+    modes[block] = vmat * np.linalg.solve(vmat, vec(rho0.matrix)[block])
     ts = time_grid(t)
     # A stacked matrix-vector product, which rounds exactly as one product per time.
-    v = np.matmul(vmat, (np.exp(ts[:, None] * lam) * w)[:, :, None])
-    m = unvec(v[:, :, 0])
+    m = unvec(np.matmul(modes, np.exp(ts[:, None] * lam)[:, :, None])[:, :, 0])
     m = 0.5 * (m + np.swapaxes(m.conj(), 1, 2))
     rho = DensityMatrix(m[0] if np.ndim(t) == 0 else m, Basis.DRESSED, "fallback")
-    return rho, lam, vmat * w
+    return rho, lam, modes
 
 
 def _fallback_rho(rates: DecayRates, params: PhysicalParams, t,

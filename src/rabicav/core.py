@@ -83,7 +83,7 @@ def time_grid(t, name: str = "t") -> np.ndarray:
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if ts.ndim != 1:
         raise ValidationError(f"{name} must be a scalar or a 1-D array")
-    if np.any(ts < 0):
+    if not np.all(ts >= 0):   # a NaN fails too
         raise ValidationError(f"{name} must be >= 0")
     return ts
 

@@ -1,8 +1,10 @@
-"""Numerical propagation: adaptive Runge-Kutta, Gaussian coupling, n-step products.
+"""Numerical propagation: exact block propagators, n-step products, the RK oracle.
 
-The embedded Dormand-Prince 5(4) pair below is the universal oracle the
-closed-form solutions are checked against.  It integrates the column-stacked
-master equation d(vec rho)/dt = L vec(rho) with per-step error control.
+Every constant generator is propagated exactly: one eigendecomposition on
+the initial state's invariant block (:func:`nstep_propagate` with n = 1,
+and the open-cavity fallback).  The embedded Dormand-Prince 5(4) pair, a
+step of which is a polynomial in L, is the independent oracle the
+acceptance suite checks the solutions against.
 """
 
 from __future__ import annotations
@@ -100,20 +102,13 @@ class StepUnderflowError(RuntimeError):
         self.time = time
 
 
-# Dormand-Prince 5(4) tableau; row i of _A holds the weights of stages
-# 0..i-1 (zero-padded), and its last row is the 5th-order solution.
-_A = np.array((
-    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0),
-    (44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-))
-# Error coefficients: b(5th order) - b(4th order), one per stage.
-_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
-               -1 / 40))[:, None]
+# The Dormand-Prince 5(4) pair on the linear y' = L y: a step of size h maps y
+# to R(hL) y and estimates its error as E(hL) y, where R and E are the
+# stability polynomials of the 5th-order weights and of the 5th- minus
+# 4th-order weights (Hairer & Wanner, Solving ODEs II, section IV.2).  Their
+# coefficients of z^0 .. z^7, exact from the tableau:
+_R = np.array((1.0, 1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0))
+_E = np.array((0.0, 0.0, 0.0, 0.0, 0.0, -97 / 120000, 13 / 40000, -1 / 24000))
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 5.0
 
@@ -137,16 +132,13 @@ def integrate(liouvillian: Liouvillian, rho0: DensityMatrix, t_end: float, *,
     trajectory drift budget when the run ends; a failure names the first bad
     state (``state i: ...``).
     """
-    if t_end < 0:
-        raise ValidationError("t_end must be >= 0")
+    if not 0.0 <= t_end < math.inf:
+        raise ValidationError("t_end must be finite and >= 0")
     mat, basis = liouvillian.matrix, liouvillian.basis
     if rho0.basis is not basis:
         raise ValidationError(f"rho0 basis {rho0.basis} does not match generator basis {basis}")
-
-    if t_eval is None:
-        t_eval = [t_end]
-    t_eval = np.asarray(t_eval, dtype=float)
-    if np.any(np.diff(t_eval) <= 0) or np.any(t_eval < 0) or (t_eval.size and t_eval[-1] > t_end * (1 + 1e-12) + 1e-300):
+    t_eval = time_grid([t_end] if t_eval is None else t_eval, "t_eval")
+    if np.any(np.diff(t_eval) <= 0) or (t_eval.size and t_eval[-1] > t_end * (1 + 1e-12) + 1e-300):
         raise ValidationError("t_eval must be increasing and within [0, t_end]")
 
     # Recorded vectors; the trajectory validates them as one stack at the end.
@@ -165,11 +157,16 @@ def integrate(liouvillian: Liouvillian, rho0: DensityMatrix, t_end: float, *,
     if not targets:
         return trajectory()
 
-    k = np.empty((7, y.size), dtype=complex)
-    k[0] = mat @ y
+    # L^0 .. L^7: k = pows @ y holds the terms L^m y of both polynomials, and
+    # a rejected step reuses it.
+    pows = np.empty((_R.size, *mat.shape), dtype=complex)
+    pows[0] = np.eye(len(mat))
+    for m in range(1, _R.size):
+        pows[m] = mat @ pows[m - 1]
+    k = pows @ y
     # Initial step guess from the scaled sizes of y and f.
     d0 = float(np.max(np.abs(y))) or 1.0
-    d1 = float(np.max(np.abs(k[0])))
+    d1 = float(np.max(np.abs(k[1])))
     h = min(targets[-1] - t, 0.01 * d0 / d1 if d1 > 0 else targets[-1])
     h_min_floor = 1e-15
 
@@ -178,21 +175,16 @@ def integrate(liouvillian: Liouvillian, rho0: DensityMatrix, t_end: float, *,
         h = min(h, t_next_out - t)
         if h < h_min_floor * max(t, t_next_out, 1e-30):
             raise StepUnderflowError(t)
-        # Axis-0 sums add the stage terms left to right, as a scalar loop
-        # does; a matrix product would reorder them and move the last bits.
-        for i in range(1, 6):
-            k[i] = mat @ (y + h * (_A[i, :i, None] * k[:i]).sum(axis=0))
-        y_new = y + h * (_A[6, :, None] * k[:6]).sum(axis=0)
-        # FSAL: the last stage is f at the new point, reused as next step's first.
-        k[6] = mat @ y_new
-        err = h * (_E * k).sum(axis=0)
+        hm = h ** np.arange(_R.size)
+        y_new = (_R * hm) @ k
+        err = (_E * hm) @ k
         norm = _error_norm(err, y, y_new, rtol, atol)
         if not np.isfinite(norm):
             norm = np.inf
         if norm <= 1.0:
             t = t + h
             y = y_new
-            k[0] = k[6]
+            k = pows @ y
             if t >= t_next_out - 1e-15 * max(1.0, abs(t_next_out)):
                 recorded.append(y)
                 targets.pop(0)
@@ -244,22 +236,16 @@ def _midpoint_couplings(g_peak: float, geom: CavityGeometry, n: int) -> np.ndarr
     return gs
 
 
-def nstep_propagate(kind: ModelKind, params: PhysicalParams,
-                    geom: CavityGeometry | None, rho0: DensityMatrix,
-                    t, n: int) -> DensityMatrix:
-    """Product of n frozen-coupling propagators exp(L(g_j) t/n) at each time t.
+def _block_eigen(kind: ModelKind, params: PhysicalParams, gs: np.ndarray,
+                rho0: DensityMatrix):
+    """The generators L(g) = L0 + g*L1, g in ``gs``, on the invariant block of
+    ``rho0``, with their eigenvalues and unit eigenvectors.
 
-    ``t`` is a time or a 1-D array of times (one state per time, stacked; a
-    state at t = 0 is ``rho0`` itself).  g_j is the coupling at the midpoint
-    (j + 1/2)/n of the crossing (constant with ``geom`` absent), the same for
-    every t, so each distinct generator is eigen-decomposed once and factor j
-    is V diag(e^{lambda t/n}) V^-1, applied in order to all times at once.
-    Only the vec entries rho0 reaches along the generators' nonzero pattern
-    are propagated; the others stay exactly zero.
+    The block is the vec entries rho0 reaches along the generators' nonzero
+    pattern; the others stay exactly zero under every L(g).  Returns
+    ``(block, gens, lam, vmat)``: the block's indices, then the restricted
+    generators and their eigenpairs stacked over ``gs``.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError("n must be a positive integer")
-    ts = time_grid(t)
     l0, slope, basis = _coupling_family(kind, params)
     if rho0.basis is not basis:
         raise ValidationError("rho0 basis does not match the model basis")
@@ -267,11 +253,30 @@ def nstep_propagate(kind: ModelKind, params: PhysicalParams,
     # Boolean (I | P)^8 links each index to every index it reaches along the pattern P.
     pattern = np.eye(v0.size, dtype=bool) | (l0 != 0) | (slope != 0)
     block = np.flatnonzero(np.linalg.matrix_power(pattern, v0.size - 1) @ (v0 != 0))
+    sub = np.ix_(block, block)
+    gens = l0[sub] + gs[:, None, None] * slope[sub]
+    lam, vmat = np.linalg.eig(gens)
+    return block, gens, lam, vmat
+
+
+def nstep_propagate(kind: ModelKind, params: PhysicalParams,
+                    geom: CavityGeometry | None, rho0: DensityMatrix,
+                    t, n: int) -> DensityMatrix:
+    """Product of n frozen-coupling propagators exp(L(g_j) t/n) at each time t.
+
+    ``t`` is a time or a 1-D array of times (one state per time, stacked; a
+    state at t = 0 is ``rho0`` itself).  g_j is the coupling at the midpoint
+    (j + 1/2)/n of the crossing (constant with ``geom`` absent, where n = 1
+    is the exact propagator), the same for every t, so each distinct
+    generator is eigen-decomposed once (:func:`_block_eigen`) and factor j is
+    V diag(e^{lambda t/n}) V^-1, applied in order to all times at once.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise ValidationError("n must be a positive integer")
+    ts = time_grid(t)
     gs = np.full(n, params.g) if geom is None else _midpoint_couplings(params.g, geom, n)
     unique_gs, order = np.unique(gs, return_inverse=True)   # a constant profile has one
-    sub = np.ix_(block, block)
-    gens = l0[sub] + unique_gs[:, None, None] * slope[sub]
-    lam, vmat = np.linalg.eig(gens)
+    block, gens, lam, vmat = _block_eigen(kind, params, unique_gs, rho0)
     # Near a degenerate eigenvalue (no damping, or an exceptional point) the
     # eigenvectors are nearly dependent and V's rounding, ~1e-16 cond(V), grows;
     # such factors use a series.  V has unit columns, so cond(V) <= k^(k/2) / |det V|.
@@ -279,6 +284,7 @@ def nstep_propagate(kind: ModelKind, params: PhysicalParams,
     vmat[degenerate] = np.eye(block.size)
     vinv = np.linalg.inv(vmat)
     dt = ts[:, None] / n
+    v0 = vec(rho0.matrix)
     x = np.tile(v0[block], (ts.size, 1))
     for j in order.tolist():
         if degenerate[j]:
@@ -290,4 +296,4 @@ def nstep_propagate(kind: ModelKind, params: PhysicalParams,
     out[:, block] = x
     mats = unvec(out)
     mats[ts == 0.0] = rho0.matrix
-    return DensityMatrix(mats[0] if np.ndim(t) == 0 else mats, basis)
+    return DensityMatrix(mats[0] if np.ndim(t) == 0 else mats, rho0.basis)

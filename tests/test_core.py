@@ -4,9 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabicav.core import (
-    Basis, DensityMatrix, ValidationError, hermitian_eigen, partial_transpose,
+    Basis, DensityMatrix, ValidationError, hermitian_eigen, partial_transpose, time_grid,
 )
 from conftest import random_hermitian
+
+
+@pytest.mark.parametrize("t", [-1.0, float("nan"), [0.0, float("nan"), 1.0]],
+                         ids=["negative", "nan", "nan-in-array"])
+def test_time_grid_rejects_negative_and_nan_times(t):
+    with pytest.raises(ValidationError, match="^t must be >= 0$"):
+        time_grid(t)
 
 
 def test_eigen_identity():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +88,46 @@ def test_integrate_step_underflow_carries_time():
     with pytest.raises(evolve.StepUnderflowError) as err:
         evolve.integrate(liou, rho0, 1e-5)
     assert 0.0 < err.value.time <= 1e-5
+
+
+@pytest.mark.parametrize("t_end, t_eval", [
+    (float("nan"), None), (math.inf, None), (1e-5, [1e-6, float("nan")]),
+])
+def test_integrate_rejects_nan_and_infinite_times(params, t_end, t_eval):
+    liou = models.build_liouvillian(models.PhenomT0(0.3 * params.g), params)
+    rho0 = cf.initial_excited_state(Basis.BARE)
+    with pytest.raises(ValidationError):
+        evolve.integrate(liou, rho0, t_end, t_eval=t_eval)
+
+
+def test_rk_polynomials_follow_the_dormand_prince_tableau():
+    # Stage i of the tableau on y' = L y is h k_i = z (1 + sum_j a_ij h k_j / y) y
+    # with z = hL: a polynomial in z, exact in fractions.
+    f = Fraction
+    a = [[], [f(1, 5)], [f(3, 40), f(9, 40)], [f(44, 45), f(-56, 15), f(32, 9)],
+         [f(19372, 6561), f(-25360, 2187), f(64448, 6561), f(-212, 729)],
+         [f(9017, 3168), f(-355, 33), f(46732, 5247), f(49, 176), f(-5103, 18656)],
+         [f(35, 384), f(0), f(500, 1113), f(125, 192), f(-2187, 6784), f(11, 84)]]
+    b5 = a[6] + [f(0)]
+    b4 = [f(5179, 57600), f(0), f(7571, 16695), f(393, 640), f(-92097, 339200),
+          f(187, 2100), f(1, 40)]
+
+    def weighted(weights, stages):
+        poly = [f(0)] * 8
+        for w, stage in zip(weights, stages):
+            poly = [p + w * s for p, s in zip(poly, stage)]
+        return poly
+
+    stages = []
+    for row in a:
+        inner = weighted(row, stages)
+        inner[0] += 1
+        stages.append([f(0)] + inner[:7])   # times z; degree <= 7 throughout
+    r = weighted(b5, stages)
+    r[0] += 1
+    e = weighted([x - y for x, y in zip(b5, b4)], stages)
+    assert evolve._R.tolist() == [float(c) for c in r]
+    assert evolve._E.tolist() == [float(c) for c in e]
 
 
 def test_gaussian_coupling_peak_and_symmetry(params, geometry):

@@ -11,10 +11,14 @@ other digests.
 """
 
 import hashlib
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from rabicav import cli
+from rabicav import cli, models
+from rabicav import closed_form as cf
+from rabicav.core import Basis
 
 _GRID = ("--end-us", "60", "--step-us", "0.25")
 _DEGENERATE = ("--gamma1", "1000", "--gamma2", "1000", "--gamma3", "46.6")
@@ -60,3 +64,25 @@ def test_csv_is_byte_identical(tmp_path, name):
     out = tmp_path / f"{name}.csv"
     assert cli.main([*argv, "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _exact_case(name, params, geometry):
+    """The generator and initial state of a case the exact block propagator writes."""
+    if name == "phenom-t":
+        kind = models.PhenomT.from_temperature(0.3 * params.g, params)
+        return models.build_liouvillian(kind, params), cf.initial_excited_state(Basis.BARE)
+    kind = models.OpenCavity(models.DecayRates.simplified(1000.0, 1000.0, 46.6, 0.0466))
+    if name == "degenerate-gaussian":   # the profile enters through the phase coupling
+        params = replace(params, g=params.g * geometry.profile_mean)
+    return models.build_liouvillian(kind, params), cf.initial_excited_state(Basis.DRESSED)
+
+
+@pytest.mark.parametrize("name", ["phenom-t", "degenerate", "degenerate-gaussian"])
+def test_exact_rows_match_block_expm(tmp_path, name, params, geometry, block_expm):
+    argv, _ = CASES[name]
+    out = tmp_path / f"{name}.csv"
+    assert cli.main([*argv, "-o", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    liou, rho0 = _exact_case(name, params, geometry)
+    expected = block_expm(liou, rho0, rows[:, 0] * 1e-6)
+    assert np.max(np.abs(rows[:, [1, 3, 4, 5, 6, 7]] - expected)) <= 1e-13
