@@ -1,9 +1,10 @@
 """Byte-identity of the CLI's CSV output on small grids.
 
 Each digest is the sha256 of a CSV written before the state producers were
-batched, when every point was computed by its own scalar call; the phenom-t
-digest pins the adaptive Runge-Kutta path as it was before its stages were
-combined as one array.  A change in
+batched, when every point was computed by its own scalar call, except three:
+the phenom-t and the two degenerate digests pin the exact invariant-block
+propagator, and :func:`test_exact_rows_match_block_expm` checks their values
+against scipy's expm of the block generator.  A change in
 the last bit of any value, or in the sign of a zero, changes the digest.
 The digests were taken with numpy 2.4 and glibc's libm on x86-64 Linux
 (AVX-512); a platform whose exp, cos or hypot rounds differently gives
@@ -49,12 +50,12 @@ CASES = {
         ("simulate", "--model", "microscopic", "--profile", "gaussian", *_GRID),
         "62047f94b59cd9df43acc1e172244ffea02108234d8cc5caf67c51b21b2b5100"),
     "phenom-t": (("simulate", "--model", "phenom-t", *_GRID),
-                 "9eb1936345d07facc4766604a4cea0ea9efda60f40fe82aadf951607b1458d19"),
+                 "c8d00b5759497ef0b61384ce548716b5b55db2b98d46ec9d1c360da2079cd8be"),
     "degenerate": (("simulate", *_DEGENERATE, *_GRID),
-                   "88e83f83c5cc0af029f8d84838aeb3d4b4872eb1234e44ee0a480c37400fe3de"),
+                   "c2864ee5ac15979b629d0a54980e05b165febb8cc8dfe30becf6ce92d98a580d"),
     "degenerate-gaussian": (
         ("simulate", *_DEGENERATE, "--profile", "gaussian", *_GRID),
-        "9165749c4dcb970dc5e1bfb3588b3efaeac114794026dd49d4ffba4497b1c64f"),
+        "79172a4f9b5e3003e8e96b62f0988173be8e86778b579d1fd637fc8382c4ffbc"),
 }
 
 
