@@ -6,9 +6,8 @@ decomposes over five of them, and the evolution is a plain sum of decaying
 exponentials, so every curve is one :class:`ExpSum`.  Degenerate parameter
 combinations (vanishing eigenvalue gap or vanishing decomposition
 denominators) have removable singularities that the formulas do not resolve;
-those inputs are routed to a fallback, tagged ``"fallback"``, that
-propagates the five-entry invariant block of |e,0><e,0| exactly, and whose
-five eigenvalues give the curves' sums.
+those inputs go to an exact propagator on the invariant block of |e,0><e,0|,
+tagged ``"fallback"``, whose five eigenvalues give the curves' sums.
 """
 
 from __future__ import annotations
@@ -362,18 +361,16 @@ def _fallback(rates: DecayRates, params: PhysicalParams, t,
               geometry: CavityGeometry | None):
     """Exact propagation on the invariant block of |e,0><e,0| (degenerate inputs).
 
-    One eigendecomposition (:func:`rabicav.evolve._block_eigen`, which the
-    n-step propagator uses too) serves every time in ``t``.  Returns the
-    states at ``t``, tagged ``"fallback"``, the block's eigenvalues lam and
-    the modes: vec(rho(t)) = modes @ exp(lam t).  For the Gaussian profile
-    the coupling enters the generator only through the off-diagonal phases,
-    so propagating with the effective coupling reproduces the
-    profile-averaged state.
+    One eigendecomposition by :func:`rabicav.evolve._block_eigen` serves every
+    time in ``t``.  Returns the states at ``t``, tagged ``"fallback"``, the
+    block's eigenvalues lam and the modes: vec(rho(t)) = modes @ exp(lam t).
+    For the Gaussian profile the coupling enters the generator only through
+    the off-diagonal phases, so propagating with the effective coupling
+    reproduces the profile-averaged state.
     """
     p = params if geometry is None else replace(params, g=_phase_coupling(params, geometry))
     rho0 = initial_excited_state(Basis.DRESSED)
-    block, _, lam, vmat = _block_eigen(OpenCavity(rates), p, np.array([p.g]), rho0)
-    lam, vmat = lam[0], vmat[0]
+    block, _, (lam,), (vmat,) = _block_eigen(OpenCavity(rates), p, np.array([p.g]), rho0)
     modes = np.zeros((9, block.size), dtype=complex)
     modes[block] = vmat * np.linalg.solve(vmat, vec(rho0.matrix)[block])
     ts = time_grid(t)

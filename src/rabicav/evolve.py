@@ -1,10 +1,9 @@
 """Numerical propagation: exact block propagators, n-step products, the RK oracle.
 
-Every constant generator is propagated exactly: one eigendecomposition on
-the initial state's invariant block (:func:`nstep_propagate` with n = 1,
-and the open-cavity fallback).  The embedded Dormand-Prince 5(4) pair, a
-step of which is a polynomial in L, is the independent oracle the
-acceptance suite checks the solutions against.
+Every constant generator is propagated exactly, by one eigendecomposition on
+the initial state's invariant block (:func:`nstep_propagate` at n = 1, the
+open-cavity fallback).  The embedded Dormand-Prince 5(4) pair, each step a
+polynomial in L, is the oracle the acceptance suite checks them against.
 """
 
 from __future__ import annotations
@@ -157,12 +156,8 @@ def integrate(liouvillian: Liouvillian, rho0: DensityMatrix, t_end: float, *,
     if not targets:
         return trajectory()
 
-    # L^0 .. L^7: k = pows @ y holds the terms L^m y of both polynomials, and
-    # a rejected step reuses it.
-    pows = np.empty((_R.size, *mat.shape), dtype=complex)
-    pows[0] = np.eye(len(mat))
-    for m in range(1, _R.size):
-        pows[m] = mat @ pows[m - 1]
+    # k = [L^m y], m = 0..7, the terms of both polynomials; a rejected step reuses it.
+    pows = np.array([np.linalg.matrix_power(mat, m) for m in range(_R.size)])
     k = pows @ y
     # Initial step guess from the scaled sizes of y and f.
     d0 = float(np.max(np.abs(y))) or 1.0
@@ -238,14 +233,10 @@ def _midpoint_couplings(g_peak: float, geom: CavityGeometry, n: int) -> np.ndarr
 
 def _block_eigen(kind: ModelKind, params: PhysicalParams, gs: np.ndarray,
                 rho0: DensityMatrix):
-    """The generators L(g) = L0 + g*L1, g in ``gs``, on the invariant block of
-    ``rho0``, with their eigenvalues and unit eigenvectors.
-
-    The block is the vec entries rho0 reaches along the generators' nonzero
-    pattern; the others stay exactly zero under every L(g).  Returns
-    ``(block, gens, lam, vmat)``: the block's indices, then the restricted
-    generators and their eigenpairs stacked over ``gs``.
-    """
+    """``(block, gens, lam, vmat)``: the invariant block of ``rho0``, the vec
+    entries it reaches along the nonzero pattern of L(g) = L0 + g*L1 (the
+    others stay exactly zero), then L(g) on the block and its eigenvalues and
+    unit eigenvectors, stacked over the couplings ``gs``."""
     l0, slope, basis = _coupling_family(kind, params)
     if rho0.basis is not basis:
         raise ValidationError("rho0 basis does not match the model basis")
@@ -284,15 +275,14 @@ def nstep_propagate(kind: ModelKind, params: PhysicalParams,
     vmat[degenerate] = np.eye(block.size)
     vinv = np.linalg.inv(vmat)
     dt = ts[:, None] / n
-    v0 = vec(rho0.matrix)
-    x = np.tile(v0[block], (ts.size, 1))
+    x = np.tile(vec(rho0.matrix)[block], (ts.size, 1))
     for j in order.tolist():
         if degenerate[j]:
             x = (_expm_rows(gens[j], dt) @ x[:, :, None])[:, :, 0]
         else:
             x = (np.exp(lam[j] * dt) * (x @ vinv[j].T)) @ vmat[j].T
 
-    out = np.zeros((ts.size, v0.size), dtype=complex)
+    out = np.zeros((ts.size, rho0.matrix.size), dtype=complex)
     out[:, block] = x
     mats = unvec(out)
     mats[ts == 0.0] = rho0.matrix

@@ -9,9 +9,9 @@ from rabicav.core import (
 from conftest import random_hermitian
 
 
-@pytest.mark.parametrize("t", [-1.0, float("nan"), [0.0, float("nan"), 1.0]],
-                         ids=["negative", "nan", "nan-in-array"])
-def test_time_grid_rejects_negative_and_nan_times(t):
+@pytest.mark.parametrize("t", [float("nan"), [0.0, float("nan"), 1.0]],
+                         ids=["scalar", "array"])
+def test_time_grid_rejects_nan_times(t):
     with pytest.raises(ValidationError, match="^t must be >= 0$"):
         time_grid(t)
 
