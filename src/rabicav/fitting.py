@@ -2,36 +2,52 @@
 
 The solver keeps the classic recipe: damped scaled normal equations with the
 damping factor multiplied by 10 whenever a step raises the cost and divided
-by 10 on acceptance, and a forward-difference Jacobian.  The difference step
-of a parameter x is ``REL_STEP * max(|x|, s)`` with ``s = min(|x0|, 1)`` from
-its starting value (``s = 1`` where x0 = 0), so a timing spread of 2.4e-6 s
-gets a step of 2.4e-13 s rather than a 4 % secant, while a parameter that
-starts at or above 1 keeps the step ``REL_STEP * max(|x|, 1)``.
+by 10 on acceptance, and a forward-difference Jacobian.  The normal matrix of
+the Jacobian with its columns scaled to unit norm is diagonalised once per
+Jacobian; the damped step for any damping factor, the gain the linear model
+predicts for it and the standard errors all come from that one ``eigh``.
+
+The difference step of a parameter x is ``REL_STEP * max(|x|, s)`` with
+``s = min(|x1|, 1)`` from the first value x1 of the parameter that is not
+zero: its start, or, for a zero start, the first value a step moves it to
+(``s = 1`` until then).  So a timing spread of 2.4e-6 s gets a step of
+2.4e-13 s rather than a 4 % secant, whether it starts at 2.37e-6 s or at 0,
+while a parameter that starts at or above 1 keeps the step
+``REL_STEP * max(|x|, 1)``.
 
 Trial points are clamped to the lower bounds.  A parameter sitting on its
 bound while the gradient pushes it further down is held there: it is left
 out of the step and of the gradient test.
 
-The iteration stops, converged, on the first of three rules:
+The stopping rules do not depend on the units of the parameters or of the
+data (More, "The Levenberg-Marquardt algorithm: implementation and theory",
+LNM 630, 1978).  The iteration stops, converged, on the first of three:
 
-* the gradient norm drops below ``GRAD_TOL * (1 + cost)``;
-* the step actually taken (after clamping) has norm below ``STEP_TOL``;
-* a trial step is rejected and the linear model predicts it lowers the cost
-  by no more than ``len(r) * eps * cost``, the rounding floor of the cost
-  itself.  A larger damping factor only shortens that step, so no further
-  progress is possible.
+* MINPACK's scaled gradient test: the cosine between the residual vector r
+  and every Jacobian column, ``|J_j . r| / (|J_j| |r|)``, is at most
+  ``GRAD_TOL``;
+* the relative step test: the next step, after clamping, moves every
+  parameter by at most ``STEP_TOL * (|x| + STEP_TOL)``; it is not taken;
+* the rounding floor: the linear model predicts that the trial step lowers
+  the cost by no more than ``len(r) * eps * cost``, the rounding floor of the
+  cost itself.  A larger damping factor only shortens that step, so no
+  further progress can show.  When the trial's cost lies within the floor of
+  the current one, the cost cannot tell the two points apart and the trial,
+  which the linear model prefers, is taken; otherwise the fit stays put.
 
-It gives up, unconverged, when the damping factor passes 1e14 or after
-``MAX_ITER`` iterations.  Standard errors come from the final Jacobian with
-its columns scaled to unit norm, so parameters of very different magnitude
-are not mistaken for a singular direction.  Flat parameter directions (zero
-Jacobian columns) are tolerated -- the parameter simply stays put and its
-standard error diverges -- but a completely insensitive model raises a
-rank-deficiency error naming the dead parameters.
+So the cost never rises by more than its rounding floor.  The fit gives up,
+unconverged, when the damping factor passes 1e14 or after ``MAX_ITER``
+iterations.  Standard errors come from the last Jacobian (at the final point,
+or at the one before it when the last step was taken at the rounding floor)
+with its columns scaled to unit norm, so parameters of very different
+magnitude are not mistaken for a singular direction.  Flat parameter
+directions (zero Jacobian columns) are tolerated -- the parameter simply
+stays put and its standard error diverges -- but a completely insensitive
+model raises a rank-deficiency error naming the dead parameters.
 
 The solver's five settings are module constants, the same for every fit:
-``LAMBDA0 = 1e-3``, ``REL_STEP = 1e-7``, ``GRAD_TOL = 1e-8``,
-``STEP_TOL = 1e-12`` and ``MAX_ITER = 500``.
+``LAMBDA0 = 1e-3``, ``REL_STEP = 1e-7``, ``GRAD_TOL = 1e-10``,
+``STEP_TOL = 1e-10`` and ``MAX_ITER = 500``.
 """
 
 from __future__ import annotations
@@ -51,15 +67,19 @@ from .models import DecayRates, PhysicalParams
 
 LAMBDA0 = 1e-3
 REL_STEP = 1e-7
-GRAD_TOL = 1e-8
-STEP_TOL = 1e-12
+GRAD_TOL = 1e-10
+STEP_TOL = 1e-10
 MAX_ITER = 500
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def _require_finite(name: str, values: np.ndarray) -> None:
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValidationError(f"{name}[{bad[0]}] = {values[bad[0]]} is not finite")
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)[0]
+        raise ValidationError(f"{name}[{bad}] = {values[bad]} is not finite")
 
 
 class TimeConvention(Enum):
@@ -87,15 +107,15 @@ class ExperimentSeries:
             raise ValidationError("series needs matching, nonempty times and p_g")
         _require_finite("times", t)
         _require_finite("p_g", p)
-        if np.any(np.diff(t) <= 0):
+        if (np.diff(t) <= 0).any():
             raise ValidationError("series times must be strictly increasing")
-        if np.any((p < 0) | (p > 1)):
+        if ((p < 0) | (p > 1)).any():
             raise ValidationError("p_g values must lie in [0, 1]")
         if self.sigma is not None:
             s = np.asarray(self.sigma, dtype=float)
             object.__setattr__(self, "sigma", s)
             _require_finite("sigma", s)
-            if s.shape != t.shape or np.any(s <= 0):
+            if s.shape != t.shape or (s <= 0).any():
                 raise ValidationError("sigma must be positive and match times")
 
 
@@ -136,7 +156,7 @@ class FitProblem:
         if self.sigma is not None:
             s = np.asarray(self.sigma, dtype=float)
             _require_finite("sigma", s)
-            if np.any(s <= 0):
+            if (s <= 0).any():
                 raise ValidationError("sigma must be positive")
             object.__setattr__(self, "sigma", s)
         missing = [n for n in self.names if n not in self.x0]
@@ -154,133 +174,151 @@ class FitResult:
     degenerate: tuple[str, ...] = ()
 
 
-def _residuals(problem: FitProblem, params: dict[str, float]) -> np.ndarray:
-    y = np.asarray(problem.model(params, problem.times), dtype=float)
+def _residuals(problem: FitProblem, x: np.ndarray) -> np.ndarray:
+    y = np.asarray(problem.model(dict(zip(problem.names, x.tolist())), problem.times),
+                   dtype=float)
     r = y - problem.values
     if problem.sigma is not None:
-        r = r / problem.sigma
+        r /= problem.sigma
     return r
 
 
-def _jacobian(problem: FitProblem, params: dict[str, float], r0: np.ndarray,
-              floor: Mapping[str, float]) -> np.ndarray:
-    cols = []
-    for name in problem.names:
-        p = dict(params)
-        h = REL_STEP * max(abs(p[name]), floor[name])
-        p[name] = params[name] + h
-        # divide by the step actually applied, not the nominal one
-        h_eff = p[name] - params[name]
-        cols.append((_residuals(problem, p) - r0) / h_eff)
-    return np.column_stack(cols)
+def _jacobian(problem: FitProblem, x: np.ndarray, r0: np.ndarray, floor: np.ndarray,
+              out: np.ndarray) -> None:
+    """Forward-difference Jacobian at ``x``, written column by column into ``out``."""
+    shifted = x + REL_STEP * np.maximum(np.abs(x), floor)
+    for j in range(x.size):
+        p = x.copy()
+        p[j] = shifted[j]
+        out[:, j] = _residuals(problem, p)
+    out -= r0[:, None]
+    # divide by the steps actually applied, not the nominal ones
+    out /= shifted - x
+
+
+def _scaled_normal(jac: np.ndarray, held: np.ndarray | None = None):
+    """Column norms of ``jac`` and the eigenpairs of its normal matrix with the
+    columns scaled to unit norm; a zero column keeps norm 1.
+
+    The rows and columns of ``held`` parameters are replaced by the identity's,
+    which keeps them out of a step taken in that eigenbasis.
+    """
+    normal = jac.T @ jac
+    norms = np.sqrt(normal.diagonal())
+    norms[norms == 0.0] = 1.0
+    normal /= norms
+    normal /= norms[:, None]
+    if held is not None:
+        normal[held, :] = 0.0
+        normal[:, held] = 0.0
+        normal[held, held] = 1.0
+    w, v = np.linalg.eigh(normal)
+    return norms, w, v
 
 
 def levenberg_marquardt(problem: FitProblem) -> FitResult:
     """Minimize the weighted residual sum of squares.
 
     The stopping rules are those of the module docstring; the cost never
-    increases across accepted iterations.
+    rises by more than its rounding floor across iterations.
     """
-    params = {n: float(problem.x0[n]) for n in problem.names}
-    lower = {n: problem.lower.get(n, -math.inf) for n in problem.names}
-    # floor of the difference step's scale; a start too small for
-    # REL_STEP * |x0| to be a normal float counts as zero
-    floor = {n: min(abs(x), 1.0) if abs(x) >= np.finfo(float).tiny else 1.0
-             for n, x in params.items()}
-    r = _residuals(problem, params)
+    x = np.array([float(problem.x0[n]) for n in problem.names])
+    lower = np.array([float(problem.lower.get(n, -math.inf)) for n in problem.names])
+    # floor of the difference step's scale, fixed by the first value of each
+    # parameter large enough for REL_STEP * |x| to be a normal float
+    unset = REL_STEP * np.abs(x) < _TINY
+    floor = np.where(unset, 1.0, np.minimum(np.abs(x), 1.0))
+    r = _residuals(problem, x)
     cost = float(r @ r)
-    rounding_floor = r.size * np.finfo(float).eps
+    jac = np.empty((r.size, x.size), order="F")
+    _jacobian(problem, x, r, floor, jac)
+    if not jac.any():
+        raise RankDeficiencyError(problem.names)
+    norms, w, v = scaled = _scaled_normal(jac)
+
+    rounding_floor = r.size * _EPS
     lam = LAMBDA0
     n_iter = 0
     converged = False
-    jac = _jacobian(problem, params, r, floor)
-
-    col_norms = np.linalg.norm(jac, axis=0)
-    if np.all(col_norms == 0.0):
-        raise RankDeficiencyError(problem.names)
-
+    fresh = True
     while n_iter < MAX_ITER:
         n_iter += 1
-        grad = jac.T @ r
-        # held: on the lower bound with the descent direction pointing below it
-        held = [params[n] <= lower[n] and g > 0.0 for n, g in zip(problem.names, grad)]
-        moving = slice(None)
-        if any(held):
-            moving = ~np.array(held)
-            grad[~moving] = 0.0
-        if np.linalg.norm(grad) <= GRAD_TOL * (1.0 + cost):
-            converged = True
-            break
-        sub = jac[:, moving]
-        jtj = sub.T @ sub
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0.0] = 1.0
-        step = np.zeros_like(grad)
-        try:
-            step[moving] = np.linalg.solve(jtj + lam * np.diag(diag), -grad[moving])
-        except np.linalg.LinAlgError:
-            raise RankDeficiencyError(problem.names)
-        trial = {n: max(params[n] + s, lower[n])
-                 for n, s in zip(problem.names, step)}
-        actual_step = np.array([trial[n] - params[n] for n in problem.names])
-        if np.linalg.norm(actual_step) <= STEP_TOL:
+        if fresh:
+            fresh = False
+            # the gradient with the Jacobian's columns scaled to unit norm
+            grad = jac.T @ r / norms
+            # held: on the lower bound with the descent direction pointing below it
+            held = x <= lower
+            if held.any():
+                held &= grad > 0.0
+                grad[held] = 0.0
+                _, w, v = _scaled_normal(jac, held)
+            # MINPACK's scale-free test: |grad| / |r| is the cosine of r with each column
+            if np.abs(grad).max() <= GRAD_TOL * math.sqrt(cost):
+                converged = True
+                break
+            # the damped step is to_x @ (p / (w + lam)) for every lam
+            p = v.T @ grad
+            to_x = v / -norms[:, None]
+            x_tol = STEP_TOL * (np.abs(x) + STEP_TOL)
+        q = p / (w + lam)
+        trial = np.maximum(x + to_x @ q, lower)
+        if (np.abs(trial - x) <= x_tol).all():
             converged = True
             break
         r_trial = _residuals(problem, trial)
         cost_trial = float(r_trial @ r_trial)
-        if np.isfinite(cost_trial) and cost_trial < cost:
-            params, r, cost = trial, r_trial, cost_trial
+        # the linear model's gain on the unclamped step, -(2 g.step + |J step|^2):
+        # a clamped step can point uphill without the fit having converged
+        predicted = float(q @ (2.0 * p - w * q))
+        noise = rounding_floor * cost
+        at_floor = predicted <= noise
+        if at_floor and abs(cost_trial - cost) <= noise:
+            # the cost cannot tell the points apart and the linear model prefers the trial
+            x, r, cost = trial, r_trial, cost_trial
+            converged = True
+            break
+        if cost_trial < cost and math.isfinite(cost_trial):
+            x, r, cost = trial, r_trial, cost_trial
             lam = max(lam / 10.0, 1e-14)
-            jac = _jacobian(problem, params, r, floor)
+            if unset.any():
+                first = unset & (REL_STEP * np.abs(x) >= _TINY)
+                floor[first] = np.minimum(np.abs(x[first]), 1.0)
+                unset &= ~first
+            _jacobian(problem, x, r, floor, jac)
+            norms, w, v = scaled = _scaled_normal(jac)
+            fresh = True
+        elif at_floor:
+            converged = True
+            break
         else:
-            # the linear model's gain on the unclamped step: a clamped one
-            # can point uphill without the fit having converged
-            predicted = -(2.0 * grad @ step + np.sum((jac @ step) ** 2))
-            if predicted <= rounding_floor * cost:
-                converged = True
-                break
             lam *= 10.0
             if lam > 1e14:
                 break
 
-    stderr, degenerate = _standard_errors(problem, jac, cost)
-    return FitResult(params, stderr, cost, n_iter, converged, tuple(degenerate))
+    stderr, degenerate = _standard_errors(problem, scaled, cost, r.size)
+    return FitResult(dict(zip(problem.names, x.tolist())), stderr, cost, n_iter, converged,
+                     degenerate)
 
 
-def _standard_errors(problem: FitProblem, jac: np.ndarray, cost: float):
-    """Per-parameter standard errors from the final Jacobian.
+def _standard_errors(problem: FitProblem, scaled, cost: float, n_pts: int):
+    """Per-parameter standard errors from the final Jacobian's ``_scaled_normal``.
 
     The columns are scaled to unit norm first, so the singular-direction test
     compares directions, not units.  Directions in which the scaled normal
     matrix is singular (a zero column among them) get infinite errors; with
     unit weights the covariance is scaled by the reduced chi-square.
     """
-    col_norms = np.linalg.norm(jac, axis=0)
-    col_norms[col_norms == 0.0] = 1.0
-    unit = jac / col_norms
-    jtj = unit.T @ unit
-    n_pts, n_par = jac.shape
-    dof = max(n_pts - n_par, 1)
-    scale = 1.0 if problem.sigma is not None else cost / dof
-    w, v = np.linalg.eigh(jtj)
-    tol = max(jtj.shape[0], 1) * np.max(np.abs(w), initial=0.0) * np.finfo(float).eps
-    stderr: dict[str, float] = {}
-    degenerate: list[str] = []
-    for i, name in enumerate(problem.names):
-        var = 0.0
-        singular = False
-        for k in range(n_par):
-            if w[k] <= tol:
-                if abs(v[i, k]) > 1e-8:
-                    singular = True
-            else:
-                var += v[i, k] ** 2 / w[k]
-        if singular:
-            stderr[name] = math.inf
-            degenerate.append(name)
-        else:
-            stderr[name] = math.sqrt(var * scale) / float(col_norms[i])
-    return stderr, degenerate
+    norms, w, v = scaled
+    n_par = w.size
+    scale = 1.0 if problem.sigma is not None else cost / max(n_pts - n_par, 1)
+    flat = w <= n_par * _EPS * np.abs(w).max()
+    singular = (np.abs(v[:, flat]) > 1e-8).any(axis=1)
+    v, w = v[:, ~flat], w[~flat]
+    stderr = np.sqrt((v * v) @ (scale / w)) / norms
+    stderr[singular] = math.inf
+    return (dict(zip(problem.names, stderr.tolist())),
+            tuple(n for n, s in zip(problem.names, singular) if s))
 
 
 # ---------------------------------------------------------------------------

@@ -417,3 +417,136 @@ def test_parameter_held_on_its_bound(x0):
     assert result.converged
     assert result.params["b"] == 0.0
     assert result.params["a"] == pytest.approx((t @ y) / (t @ t), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Scale-free stopping: noisy energy curves, zero starts, an independent oracle
+# ---------------------------------------------------------------------------
+
+def _noisy_energy(params, paper_rates, seed):
+    ts = np.linspace(0.0, 430e-6, 431)
+    curve = cf.energy_mean(paper_rates, 0.0466, params, ts)
+    return ts, curve + np.random.default_rng(seed).normal(scale=1e-4 * params.omega0,
+                                                          size=ts.size)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_noisy_fit_q_lands_on_the_cost_minimum(params, paper_rates, seed):
+    # the cost is near 5e17 here: a gradient test against (1 + cost) passed
+    # at the endpoint guess, up to 5 % off, and returned it as the fit
+    ts, y = _noisy_energy(params, paper_rates, seed)
+    q = fitting.fit_q(ts, y, 0.0466, params, TimeConvention.TRUE)
+    offset = cf.energy_mean_asymptote(0.0466, params)
+    amp = params.omega0 / (2 * 0.0466 + 1.0)
+    grid = np.linspace(3.2e10, 3.45e10, 2501)
+    cost = np.sum((offset + amp * np.exp(-params.omega0 * ts / grid[:, None]) - y) ** 2, axis=1)
+    # one-parameter standard error from the analytic slope in Q
+    slope = amp * np.exp(-params.omega0 * ts / q) * params.omega0 * ts / q**2
+    stderr = math.sqrt(cost.min() / (ts.size - 1)) / np.linalg.norm(slope)
+    assert abs(q - grid[np.argmin(cost)]) <= stderr
+
+
+def test_zero_delta_t_start_reaches_the_same_optimum(params, geometry, paper_rates):
+    # fit-rabi starts delta_t at 0 by default; its difference step must take
+    # its scale from the first nonzero value, not stay a 4 % secant of 1e-7 s
+    rng = np.random.default_rng(4)
+    ts = np.arange(1.0, 201.0) * 1e-6
+    truth = dephase.convolve_pg(paper_rates, 0.0466, params, geometry, 2.37e-6, ts)
+    data = np.clip(truth + rng.normal(scale=0.01, size=ts.size), 0.0, 1.0)
+    series = ExperimentSeries(ts, data, np.full(ts.size, 0.01), TimeConvention.TRUE)
+    fits = [fitting.fit_rabi(series, fitting.RabiFitConfig(
+                params, geometry, 0.0466, 17.73, 17.73, 0.07 * params.g, delta_t=start),
+                ("gamma1", "delta_t")) for start in (0.0, 2.37e-6)]
+    assert all(fit.converged for fit in fits)
+    assert fits[0].rss == pytest.approx(fits[1].rss, rel=1e-9)
+
+
+def _tied_fit(params, geometry, paper_rates):
+    rng = np.random.default_rng(11)
+    ts = np.arange(1.0, 201.0) * 1e-6
+    truth = cf.opencavity_pg(paper_rates, 0.0466, params, evolve.true_time(ts, geometry),
+                             geometry=geometry)
+    data = np.clip(truth + rng.normal(scale=0.01, size=ts.size), 0.0, 1.0)
+    series = ExperimentSeries(ts, data, np.full(ts.size, 0.01), TimeConvention.EFFECTIVE)
+    config = fitting.RabiFitConfig(params, geometry, 0.0466, gamma1=25.0, gamma2=25.0,
+                                   gamma3=0.1 * params.g)
+    fitting.fit_rabi(series, config, ("gamma1", "gamma3"), tie_gammas=True)
+
+
+def _delta_t_fit(params, geometry, paper_rates):
+    rng = np.random.default_rng(6)
+    ts = np.arange(1.0, 201.0) * 1e-6
+    truth = dephase.convolve_pg(paper_rates, 0.0466, params, geometry, 2.37e-6, ts)
+    data = np.clip(truth + rng.normal(scale=0.01, size=ts.size), 0.0, 1.0)
+    series = ExperimentSeries(ts, data, np.full(ts.size, 0.01), TimeConvention.TRUE)
+    config = fitting.RabiFitConfig(params, geometry, 0.0466, gamma1=17.73, gamma2=17.73,
+                                   gamma3=0.07 * params.g, delta_t=2.37e-6)
+    fitting.fit_rabi(series, config, ("gamma1", "delta_t"))
+
+
+def _q_fit(params, geometry, paper_rates):
+    fitting.fit_q(*_noisy_energy(params, paper_rates, 0), 0.0466, params)
+
+
+@pytest.mark.parametrize("fit", [_tied_fit, _delta_t_fit, _q_fit])
+def test_fit_agrees_with_scipy_least_squares(fit, params, geometry, paper_rates, monkeypatch):
+    from scipy.optimize import least_squares
+
+    seen = []
+
+    def spy(problem):
+        seen.append((problem, levenberg_marquardt(problem)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(fitting, "levenberg_marquardt", spy)
+    fit(params, geometry, paper_rates)
+    [(problem, result)] = seen
+
+    def residuals(x):
+        r = problem.model(dict(zip(problem.names, x)), problem.times) - problem.values
+        return r if problem.sigma is None else r / problem.sigma
+
+    # scipy's difference step is absolute below 1, so it solves for x / |x0|
+    scale = np.array([abs(problem.x0[n]) for n in problem.names])
+    lower = [problem.lower.get(n, -np.inf) / s for n, s in zip(problem.names, scale)]
+    ref = least_squares(lambda u: residuals(u * scale), np.ones(scale.size), jac="3-point",
+                        bounds=(lower, np.inf), x_scale="jac", ftol=1e-15, xtol=1e-15,
+                        gtol=1e-15)
+    for name, value in zip(problem.names, ref.x * scale):
+        assert abs(result.params[name] - value) <= 1e-6 * result.stderr[name]
+
+
+def _loop_standard_errors(jac, cost, weighted):
+    """The per-parameter, per-direction loop the vectorised errors replace."""
+    col_norms = np.linalg.norm(jac, axis=0)
+    col_norms[col_norms == 0.0] = 1.0
+    unit = jac / col_norms
+    jtj = unit.T @ unit
+    n_pts, n_par = jac.shape
+    scale = 1.0 if weighted else cost / max(n_pts - n_par, 1)
+    w, v = np.linalg.eigh(jtj)
+    tol = n_par * np.max(np.abs(w)) * np.finfo(float).eps
+    out = []
+    for i in range(n_par):
+        var, singular = 0.0, False
+        for k in range(n_par):
+            if w[k] <= tol:
+                singular = singular or abs(v[i, k]) > 1e-8
+            else:
+                var += v[i, k] ** 2 / w[k]
+        out.append(math.inf if singular else math.sqrt(var * scale) / col_norms[i])
+    return out
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_standard_errors_match_the_loop(weighted):
+    rng = np.random.default_rng(5)
+    jac = rng.normal(size=(40, 4)) * np.array([1e-6, 1.0, 1e8, 3.0])
+    jac[:, 3] = 0.0  # a dead parameter
+    names = ("a", "b", "c", "d")
+    problem = FitProblem(lambda p, ts: ts, np.arange(40.0), np.zeros(40),
+                         np.ones(40) if weighted else None, names, dict.fromkeys(names, 1.0))
+    stderr, degenerate = fitting._standard_errors(problem, fitting._scaled_normal(jac), 7.5, 40)
+    assert degenerate == ("d",)
+    assert list(stderr.values()) == pytest.approx(_loop_standard_errors(jac, 7.5, weighted),
+                                                  rel=1e-12)
