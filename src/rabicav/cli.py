@@ -307,6 +307,8 @@ def _simulate_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
         raise ValidationError("delta_t must be >= 0")
     if delta_t > 0.0 and name != "open-cavity":
         raise ValidationError("time-uncertainty averaging is defined for the open-cavity model")
+    if delta_t > 0.0 and geom is None:
+        raise ValidationError("time-uncertainty averaging uses the gaussian profile")
 
     if name == "phenom-t0" and geom is None:
         rho = cf.phenom_T0_rho(params.g, kind.gamma, ts)
@@ -321,12 +323,8 @@ def _simulate_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
         rho = evolve.nstep_propagate(kind, params, geom, rho0, ts, config.nstep if geom else 1)
 
     pg = models.ground_state_probability(rho)
-    if delta_t > 0.0:
-        if geom is None:
-            raise ValidationError("time-uncertainty averaging uses the gaussian profile")
-        pg_conv = dephase.convolve_pg(kind.rates, config.eps, params, geom, delta_t, ts)
-    else:
-        pg_conv = pg
+    pg_conv = (dephase.convolve_pg(kind.rates, config.eps, params, geom, delta_t, ts)
+               if delta_t > 0.0 else pg)
     header = ["t_us", "p_g", "p_g_convolved", "rho_11", "rho_22", "rho_33",
               "rho_12_re", "rho_12_im"]
     m = rho.matrix

@@ -31,8 +31,8 @@ def gamma_kernel(t: float, t_prime, delta_t: float):
     variance t*Dt.  ``delta_t == 0`` has no density (the caller must use the
     sharp-time identity path instead).
     """
-    if t <= 0 or delta_t <= 0:
-        raise ValidationError("gamma_kernel needs t > 0 and delta_t > 0")
+    if not (0 < t < math.inf and 0 < delta_t < math.inf):   # a NaN fails too
+        raise ValidationError("gamma_kernel needs finite t > 0 and delta_t > 0")
     shape = t / delta_t
     tp = time_grid(t_prime, "t_prime")
     out = np.zeros_like(tp)
@@ -73,8 +73,8 @@ def _quadrature(func, t: float, delta_t: float) -> float:
     kernel tail is cut off at any shape t/Dt, below 1 included.  Raises
     :class:`ValidationError` when no two rules up to 512 nodes agree.
     """
-    if t <= 0 or delta_t <= 0:
-        raise ValidationError("quadrature needs t > 0 and delta_t > 0")
+    if not (0 < t < math.inf and 0 < delta_t < math.inf):
+        raise ValidationError("quadrature needs finite t > 0 and delta_t > 0")
     value = None
     for n in (32, 64, 128, 256, 512):
         nodes, weights = _gamma_gauss_rule(t / delta_t, n)

@@ -35,8 +35,8 @@ class CavityGeometry:
     diameter: float
 
     def __post_init__(self):
-        if self.waist <= 0 or self.diameter <= 0:
-            raise ValidationError("waist and diameter must be positive")
+        if not (0 < self.waist < math.inf and 0 < self.diameter < math.inf):   # a NaN fails too
+            raise ValidationError("waist and diameter must be positive and finite")
         if self.waist >= self.diameter:
             raise ValidationError("waist must be smaller than the mirror diameter")
 

@@ -45,10 +45,11 @@ class PhysicalParams:
     temperature: float = 0.8
 
     def __post_init__(self):
-        if self.omega0 <= 0 or self.g <= 0:
-            raise ValidationError("omega0 and g must be positive")
-        if self.temperature < 0:
-            raise ValidationError("temperature must be non-negative")
+        # written so that a NaN fails too
+        if not (0 < self.omega0 < math.inf and 0 < self.g < math.inf):
+            raise ValidationError("omega0 and g must be positive and finite")
+        if not 0 <= self.temperature < math.inf:
+            raise ValidationError("temperature must be non-negative and finite")
 
 
 def boltzmann_exponent(omega: float, temperature: float) -> float:
@@ -92,8 +93,8 @@ class DecayRates:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            if value < 0:
-                raise ValidationError(f"{name} must be >= 0, got {value}")
+            if not 0 <= value < math.inf:
+                raise ValidationError(f"{name} must be >= 0 and finite, got {value}")
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -136,8 +137,8 @@ class PhenomT0:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValidationError("gamma must be >= 0")
+        if not 0 <= self.gamma < math.inf:
+            raise ValidationError("gamma must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,8 @@ class PhenomT:
     gamma_up: float
 
     def __post_init__(self):
-        if self.gamma_down < 0 or self.gamma_up < 0:
-            raise ValidationError("rates must be >= 0")
+        if not (0 <= self.gamma_down < math.inf and 0 <= self.gamma_up < math.inf):
+            raise ValidationError("rates must be >= 0 and finite")
 
     @classmethod
     def from_temperature(cls, gamma_down: float, params: PhysicalParams) -> "PhenomT":
@@ -169,8 +170,8 @@ class Microscopic:
     gamma2: float
 
     def __post_init__(self):
-        if self.gamma1 < 0 or self.gamma2 < 0:
-            raise ValidationError("rates must be >= 0")
+        if not (0 <= self.gamma1 < math.inf and 0 <= self.gamma2 < math.inf):
+            raise ValidationError("rates must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

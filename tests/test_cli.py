@@ -490,6 +490,16 @@ def test_simulate_rejects_negative_inputs(tmp_path, argv, message, capsys):
     assert not out.exists()
 
 
+def test_simulate_checks_the_profile_before_any_state(monkeypatch, capsys):
+    def producer(*args, **kwargs):
+        raise AssertionError("a state producer ran")
+    for module, name in ((cf, "opencavity_rho"), (cf, "phenom_T0_rho"),
+                         (cf, "microscopic_rho"), (evolve, "nstep_propagate")):
+        monkeypatch.setattr(module, name, producer)
+    assert run_cli("simulate", "--delta-t-us", "2", "--step-us", "0.002") == cli.EXIT_VALIDATION
+    assert "uses the gaussian profile" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
     (("simulate", "--gamma1", "1e300"), "the gap S^2 overflows"),
     (("energy", "--gamma1", "1e300"), "the gap S^2 overflows"),

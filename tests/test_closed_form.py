@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rabicav import closed_form as cf
 from rabicav import dephase, evolve, models
@@ -64,9 +66,40 @@ def test_phenom_overdamped_branch_flagged(params):
     assert np.max(np.abs(closed.matrix - state.matrix)) <= 1e-8
 
 
-def test_phenom_rejects_critical_damping(params):
-    with pytest.raises(ValidationError):
-        cf.phenom_T0_rho(params.g, 4.0 * params.g, 1e-6)
+def test_phenom_critical_damping_is_an_ordinary_point(params):
+    # at gamma = 4g the amplitudes of |e,0> and |g,1> are (1 + g t) e^{-g t}
+    # and -i g t e^{-g t}
+    g = params.g
+    ts = np.linspace(0.0, 500e-6, 51)
+    rho = cf.phenom_T0_rho(g, 4.0 * g, ts)
+    assert rho.note is None
+    ce, cg = (1.0 + g * ts) * np.exp(-g * ts), g * ts * np.exp(-g * ts)
+    expected = np.zeros_like(rho.matrix)
+    expected[:, 0, 0], expected[:, 1, 1] = ce * ce, cg * cg
+    expected[:, 2, 2] = 1.0 - ce * ce - cg * cg
+    expected[:, 0, 1], expected[:, 1, 0] = 1j * ce * cg, -1j * ce * cg
+    assert np.max(np.abs(rho.matrix - expected)) <= 1e-14
+
+
+_G = models.PhysicalParams().g
+# 4g(1 -+ 10^-k): the neighbours of the critically damped point on either side
+_NEAR_CRITICAL = st.builds(lambda k, sign: 4.0 * _G * (1.0 + sign * 10.0 ** -k),
+                           st.integers(3, 12), st.sampled_from([-1.0, 1.0]))
+
+
+# gamma <= 40 g: far beyond it, at gamma of order 1e8, expm itself drifts past 1e-12
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.one_of(st.floats(0.0, 40.0 * _G), _NEAR_CRITICAL, st.just(4.0 * _G)),
+       t=st.floats(0.0, 500e-6, allow_subnormal=False))
+@example(gamma=4.0 * _G, t=500e-6)
+@example(gamma=4.0 * _G * (1.0 - 1e-12), t=100e-6)
+@example(gamma=4.0 * _G * (1.0 + 1e-12), t=100e-6)
+def test_phenom_matches_block_expm(params, block_expm, gamma, t):
+    m = cf.phenom_T0_rho(params.g, gamma, t).matrix
+    got = [m[0, 0].real, m[1, 1].real, m[2, 2].real, m[0, 1].real, m[0, 1].imag]
+    liou = models.build_liouvillian(models.PhenomT0(gamma), params)
+    expected = block_expm(liou, cf.initial_excited_state(Basis.BARE), [t])[0, 1:]
+    assert np.max(np.abs(np.array(got) - expected)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +239,31 @@ def test_initial_decomposition_degenerate_raises():
         cf.initial_decomposition(rates, 0.0466)
 
 
+# gamma3 = eps*gamma1 + d*total0, with total0 the total rate at d = 0: as d -> 0
+# the gap S and eps*gamma1 - gamma3 vanish together at gamma2 = gamma1, and
+# eps*gamma1 - gamma3 alone at gamma2 = 300 or 1
+_NEAR_SINGULAR = [s * 10.0 ** -k for k in range(10, 1, -1) for s in (1.0, -1.0)] + [3e-2]
+
+
+@pytest.mark.parametrize("gamma2, bound", [(1000.0, 1e-13), (300.0, 1e-13), (1.0, 3e-13)])
+def test_opencavity_rho_near_singular_families(params, block_expm, gamma2, bound):
+    # the oracle runs at omega0 = 1: at the real omega0, w0/2 +- g rounds the
+    # dressed coherence phase by about 5e-9 at 500 us; the populations do not
+    # depend on omega0
+    eps, gamma1 = 0.0466, 1000.0
+    total0 = (1.0 + eps) * (gamma1 + gamma2) + 2.0 * eps * gamma1
+    ts = np.linspace(0.0, 500e-6, 51)
+    rho0 = cf.initial_excited_state(Basis.DRESSED)
+    unit_w0 = models.PhysicalParams(omega0=1.0)
+    for d in _NEAR_SINGULAR:
+        rates = models.DecayRates.simplified(gamma1, gamma2, eps * gamma1 + d * total0, eps)
+        rho = cf.opencavity_rho(rates, eps, params, ts)    # strictly validated
+        liou = models.build_liouvillian(models.OpenCavity(rates), unit_w0)
+        expected = block_expm(liou, rho0, ts)[:, 1:4]
+        err = np.max(np.abs(np.diagonal(rho.matrix, axis1=1, axis2=2).real - expected))
+        assert err <= bound, d
+
+
 # ---------------------------------------------------------------------------
 # open-cavity closed forms
 # ---------------------------------------------------------------------------
@@ -325,7 +383,7 @@ def test_energy_degenerate_falls_back_to_trace(params):
 # batched states: an array of times gives the stack of the scalar calls
 # ---------------------------------------------------------------------------
 
-# t = 0, times small enough for the sinh(x)/x series branch, and a grid
+# t = 0, where S and D take their limits, tiny times and a grid
 _TIMES = np.concatenate([[0.0, 1e-12, 1e-10], np.linspace(1e-7, 300e-6, 157)])
 _DEGENERATE = models.DecayRates.simplified(1000.0, 1000.0, 46.6, 0.0466)
 
@@ -340,7 +398,7 @@ def _assert_stack_of_scalar_calls(producer):
     return batched
 
 
-@pytest.mark.parametrize("gamma_over_g, note", [(0.3, None), (5.0, "hyperbolic")])
+@pytest.mark.parametrize("gamma_over_g, note", [(0.3, None), (4.0, None), (5.0, "hyperbolic")])
 def test_phenom_T0_rho_array_equals_scalar_calls(params, gamma_over_g, note):
     gamma = gamma_over_g * params.g
     rho = _assert_stack_of_scalar_calls(lambda t: cf.phenom_T0_rho(params.g, gamma, t))

@@ -1,9 +1,11 @@
 """Byte-identity of the CLI's CSV output on small grids.
 
 Each digest is the sha256 of a CSV written before the state producers were
-batched, when every point was computed by its own scalar call, except three:
+batched, when every point was computed by its own scalar call, except five:
 the phenom-t and the two degenerate digests pin the exact invariant-block
-propagator, and :func:`test_exact_rows_match_block_expm` checks their values
+propagator, the two phenom-t0 digests the real closed form in entire
+functions of d^2 = gamma^2 - 16 g^2, and
+:func:`test_exact_rows_match_block_expm` checks the values of all five
 against scipy's expm of the block generator.  A change in
 the last bit of any value, or in the sign of a zero, changes the digest.
 The digests were taken with numpy 2.4 and glibc's libm on x86-64 Linux
@@ -72,13 +74,17 @@ def _exact_case(name, params, geometry):
     if name == "phenom-t":
         kind = models.PhenomT.from_temperature(0.3 * params.g, params)
         return models.build_liouvillian(kind, params), cf.initial_excited_state(Basis.BARE)
+    if name.startswith("phenom-t0"):
+        kind = models.PhenomT0(1e6 if name.endswith("hyperbolic") else 0.3 * params.g)
+        return models.build_liouvillian(kind, params), cf.initial_excited_state(Basis.BARE)
     kind = models.OpenCavity(models.DecayRates.simplified(1000.0, 1000.0, 46.6, 0.0466))
     if name == "degenerate-gaussian":   # the profile enters through the phase coupling
         params = replace(params, g=params.g * geometry.profile_mean)
     return models.build_liouvillian(kind, params), cf.initial_excited_state(Basis.DRESSED)
 
 
-@pytest.mark.parametrize("name", ["phenom-t", "degenerate", "degenerate-gaussian"])
+@pytest.mark.parametrize("name", ["phenom-t", "phenom-t0", "phenom-t0-hyperbolic",
+                                  "degenerate", "degenerate-gaussian"])
 def test_exact_rows_match_block_expm(tmp_path, name, params, geometry, block_expm):
     argv, _ = CASES[name]
     out = tmp_path / f"{name}.csv"

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rabicav import closed_form as cf
+from rabicav import dephase
 from rabicav.core import Basis, DensityMatrix, ValidationError
+from rabicav.evolve import CavityGeometry
 from rabicav.models import (
     DecayRates, Microscopic, OpenCavity, PhenomT, PhenomT0, PhysicalParams,
     build_liouvillian, dressed_transform, kms_ratio, thermal_occupation, vec,
@@ -46,6 +51,32 @@ def test_rate_validation():
         DecayRates(gamma_c=-0.1)
     with pytest.raises(ValidationError):
         PhysicalParams(g=0.0)
+
+
+_NON_FINITE_CHECKS = {
+    "omega0": lambda x: PhysicalParams(omega0=x),
+    "g": lambda x: PhysicalParams(g=x),
+    "temperature": lambda x: PhysicalParams(temperature=x),
+    "gamma1": lambda x: DecayRates(gamma1=x),
+    "gamma_c": lambda x: DecayRates(gamma_c=x),
+    "phenom-t0": PhenomT0,
+    "phenom-t-down": lambda x: PhenomT(x, 0.0),
+    "phenom-t-up": lambda x: PhenomT(0.0, x),
+    "microscopic-1": lambda x: Microscopic(x, 0.0),
+    "microscopic-2": lambda x: Microscopic(0.0, x),
+    "waist": lambda x: CavityGeometry(waist=x, diameter=50e-3),
+    "diameter": lambda x: CavityGeometry(waist=5.96e-3, diameter=x),
+    "smeared": lambda x: cf.ExpSum(1.0, np.array([-0.5]), np.array([-1e3])).smeared(x, 1e-6),
+    "kernel-delta-t": lambda x: dephase.gamma_kernel(1e-6, 1e-6, x),
+    "kernel-t": lambda x: dephase.gamma_kernel(x, 1e-6, 1e-6),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("check", _NON_FINITE_CHECKS)
+def test_non_finite_inputs_are_validation_errors(check, value):
+    with pytest.raises(ValidationError):
+        _NON_FINITE_CHECKS[check](value)
 
 
 def test_detailed_balance_constructor_exact(params):
