@@ -42,10 +42,10 @@ CASES = {
     "sweep": (("simulate", "--sweep", "gamma3=2000:20000:3", "--end-us", "60", "--step-us", "1"),
               "10a16af7bb68c173bdb317bbdbaef8e5d9bd445a20ac939e981800c304f7604d"),
     "phenom-t0": (("simulate", "--model", "phenom-t0", *_GRID),
-                  "5cad9ac0c167524fdffd5eaddf4133ef0645f729ca7249ffcbe19ecea815af6f"),
+                  "5826a08bf7e330838d32747bcaa53fd5ec313b54b49620676953bd33c7a47334"),
     "phenom-t0-hyperbolic": (
         ("simulate", "--model", "phenom-t0", "--gamma", "1e6", *_GRID),
-        "b3f1a28e1c7ec46d59dfd7fa3e59b06dd8f2403906cc7e784ee87c6c92348988"),
+        "20252b6e472845af9ded90dac34598c2924a0f93aaba8b5a47fbdf4f213f16c0"),
     "microscopic": (("simulate", "--model", "microscopic", *_GRID),
                     "2fb2ecc8a68632e85a8c82cb4782c893c70281217bcb8f4709426baf72aea4f7"),
     "microscopic-gaussian": (
