@@ -147,8 +147,9 @@ def phenom_T0_rho(g: float, gamma: float, t) -> DensityMatrix:
         decay, c = np.exp(-gamma * ts / 2.0), np.cos(w)
         s, h = (np.divide(np.sin(y), y, out=np.ones_like(y), where=y > 0) for y in (w, w / 2.0))
     else:
-        u = math.sqrt(d2) * ts
-        decay, c = np.exp(-8.0 * g * g / (gamma + math.sqrt(d2)) * ts), 0.5 * (1.0 + np.exp(-u))
+        delta = math.sqrt(d2)
+        u = delta * ts
+        decay, c = np.exp(-8.0 * g * g / (gamma + delta) * ts), 0.5 * (1.0 + np.exp(-u))
         s, h = (np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y > 0) for y in (u, u / 2.0))
     c, s, d = decay * c, decay * s, 0.5 * decay * h * h
     r22 = 2.0 * g * g * ts * ts * d
