@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import acceptance, closed_form as cf, dephase, entangle, evolve, fitting, models
-from .core import Basis, ValidationError
+from .core import Basis, ValidationError, blocks
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -188,19 +188,34 @@ def write_csv(path: str | None, header: list[str], rows: np.ndarray) -> None:
     """Write a table of floats, one column per header field, as CSV.
 
     Values are written as their shortest round-trip decimals (``repr``, as
-    :func:`fmt` does), formatted column by column.  A path that cannot be
-    written raises ConfigError (exit 2) and leaves no partial file.
+    :func:`fmt` does), formatted column by column.  The text is formatted and
+    written in blocks of :data:`~rabicav.core.BLOCK` rows (the header goes with
+    the first), so memory does not grow with the size of the CSV.  A path that
+    cannot be written raises ConfigError (exit 2) and leaves no partial file,
+    even after earlier blocks went out.  On stdout, a reader that closes the
+    pipe early (``| head``) ends the output quietly.
     """
-    columns = (map(repr, col) for col in np.asarray(rows, dtype=float).T.tolist())
-    text = "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+    def texts():
+        lines = [",".join(header)]
+        for block in blocks(np.asarray(rows, dtype=float)):
+            columns = (map(repr, col) for col in block.T.tolist())
+            yield "\n".join([*lines, *map(",".join, zip(*columns))]) + "\n"
+            lines = []
+
     if path is None:
-        sys.stdout.write(text)
+        try:
+            for text in texts():
+                sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:   # the reader is gone: the exit flush goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     opened = False
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             opened = True
-            fh.write(text)
+            for text in texts():
+                fh.write(text)
     except OSError as exc:
         if opened and os.path.isfile(path):   # a partly written file
             os.remove(path)

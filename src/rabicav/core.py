@@ -24,6 +24,10 @@ _TRAJECTORY_TOL = 1e-9
 
 ALLOWED_DIMS = (2, 3, 4, 9)
 
+# Rows per CSV block and states per validation block: a table or a state
+# stack is worked through in slices of this size, so temporaries stay small.
+BLOCK = 4096
+
 ComplexMatrix = np.ndarray
 
 
@@ -66,6 +70,11 @@ def hermiticity_defect(matrix: np.ndarray):
     return float(d) if d.ndim == 0 else d
 
 
+def blocks(array: np.ndarray):
+    """``array`` in slices of BLOCK along its first axis (one empty slice if it is empty)."""
+    return (array[i:i + BLOCK] for i in range(0, max(len(array), 1), BLOCK))
+
+
 def elementwise(fn, *arrays) -> np.ndarray:
     """``fn`` applied to matching elements of 1-D arrays, as a float array.
 
@@ -97,6 +106,8 @@ class DensityMatrix:
     member.  For a stack the defect properties hold one value per member and
     a failed check names the first failing index; ``len`` and indexing give
     its size and members (both raise ``TypeError`` on a single matrix).
+    Checks take the eigenvalues and Hermiticity defects of a stack in blocks
+    of :data:`BLOCK` members, so their temporaries do not grow with it.
 
     ``note`` is a diagnostic tag set by producers (e.g. ``"hyperbolic"`` for
     the overdamped analytic continuation, ``"fallback"`` for numeric
@@ -165,10 +176,11 @@ class DensityMatrix:
             if not np.isfinite(stack).all():
                 i = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
                 raise ValidationError(where.format(i) + "matrix entries must be finite")
-            w = np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack.conj(), 1, 2)))[:, 0]
+            w = np.concatenate([np.linalg.eigvalsh(0.5 * (b + np.swapaxes(b.conj(), 1, 2)))[:, 0]
+                                for b in blocks(stack)])
             object.__setattr__(self, "_min_eig", float(w[0]) if self.matrix.ndim == 2 else w)
         trace = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
-        herm = hermiticity_defect(stack)
+        herm = np.concatenate([hermiticity_defect(b) for b in blocks(stack)])
         w = np.atleast_1d(self._min_eig)
         failed = (trace > max_trace) | (herm > max_herm) | (w < -max_neg)
         if failed.any():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import rabicav
 from rabicav import closed_form as cf
 from rabicav import cli, dephase, entangle, evolve, fitting, models
+from rabicav.core import BLOCK
 
 
 def run_cli(*argv):
@@ -132,6 +134,83 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     assert run_cli("simulate", "--end-us", "2", "-o", str(out)) == cli.EXIT_USAGE
     assert "No space left on device" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_write_failing_after_the_first_block_leaves_no_file(tmp_path, monkeypatch, capsys):
+    writes = []
+
+    class FullAfterOneBlock:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            writes.append(text)
+            if len(writes) > 1:
+                raise OSError(28, "No space left on device")
+            self.fh.write(text)
+            self.fh.flush()
+
+    monkeypatch.setattr(cli, "open", lambda *a, **k: FullAfterOneBlock(open(*a, **k)),
+                        raising=False)
+    out = tmp_path / "out.csv"
+    assert run_cli("energy", "--end-us", str(2 * BLOCK), "-o", str(out)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output ") and err.count("\n") == 1
+    assert "No space left on device" in err
+    assert writes[0].count("\n") == BLOCK + 1   # header and the first block went out
+    assert not out.exists()
+
+
+def _one_shot_csv(header, rows):
+    columns = (map(repr, col) for col in np.asarray(rows, dtype=float).T.tolist())
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK, 2 * BLOCK + 5])
+def test_block_csv_is_byte_equal_to_one_shot_text(tmp_path, capsys, n):
+    values = np.array([-0.0, 1e16, 1e-5, 5e-324, 3.0, -7.0, 0.1, 2.0 ** 60])
+    rows = np.resize(values, (n, 3))
+    rows[:, 0] = np.arange(n)
+    header = ["t_us", "a", "b"]
+    cli.write_csv(str(tmp_path / "t.csv"), header, rows)
+    cli.write_csv(None, header, rows)
+    reference = _one_shot_csv(header, rows)
+    assert (tmp_path / "t.csv").read_text() == reference
+    assert capsys.readouterr().out == reference
+
+
+def test_write_csv_memory_does_not_grow_with_the_table(tmp_path):
+    rows = np.random.default_rng(0).random((200_000, 3))
+    tracemalloc.start()
+    try:
+        cli.write_csv(str(tmp_path / "big.csv"), ["a", "b", "c"], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6   # the whole text and its row strings took 41.5 MB
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_closed_stdout_ends_quietly(unbuffered):
+    # `rabicav energy ... | head -1`: the reader leaves after one line
+    src = os.path.dirname(os.path.dirname(rabicav.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with subprocess.Popen([sys.executable, "-m", "rabicav.cli", "energy", "--step-us", "0.01"],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"t_us,omega_bar,omega_bar_convolved\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == cli.EXIT_OK and err == b""
 
 
 def test_energy_command(tmp_path, params, paper_rates):

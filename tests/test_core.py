@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabicav.core import (
-    Basis, DensityMatrix, ValidationError, hermitian_eigen, partial_transpose, time_grid,
+    BLOCK, Basis, DensityMatrix, ValidationError, hermitian_eigen, partial_transpose,
+    time_grid,
 )
 from conftest import random_hermitian
 
@@ -149,6 +152,40 @@ def test_density_matrix_stack_names_first_bad_index(bad, message):
     stack[3] = stack[4] = bad
     with pytest.raises(ValidationError, match=rf"^state 3: {message}"):
         DensityMatrix(stack, Basis.BARE)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (_NOT_HERMITIAN, "hermiticity defect"),
+    (np.diag([1.1, -0.1, 0.0]), "minimum eigenvalue"),
+])
+def test_stack_checks_name_the_index_across_blocks(bad, message):
+    stack = _good_stack(2 * BLOCK + 3)
+    stack[BLOCK + 7] = stack[2 * BLOCK + 1] = bad
+    with pytest.raises(ValidationError, match=rf"^state {BLOCK + 7}: {message}"):
+        DensityMatrix(stack, Basis.BARE)
+
+
+def test_blockwise_spectrum_matches_the_whole_stack():
+    rng = np.random.default_rng(3)
+    stack = np.stack([np.diag(p).astype(complex) for p in rng.dirichlet([1, 1, 1], 2 * BLOCK + 3)])
+    stack[:, 0, 1] = 0.5j * np.sqrt(stack[:, 0, 0] * stack[:, 1, 1])
+    stack[:, 1, 0] = stack[:, 0, 1].conj()
+    rho = DensityMatrix(stack, Basis.BARE).validate()
+    assert np.array_equal(rho.min_eigenvalue, np.linalg.eigvalsh(stack)[:, 0])
+    assert rho.hermiticity_defect.shape == (2 * BLOCK + 3,)
+
+
+def test_stack_checks_allocate_a_bounded_block():
+    m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    m[0, 1], m[1, 0] = 0.1j, -0.1j
+    stack = np.ascontiguousarray(np.broadcast_to(m, (20000, 4, 4)))   # 5.1 MB
+    tracemalloc.start()
+    try:
+        DensityMatrix(stack, Basis.BARE4).validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6   # full-stack temporaries took 11.2 MB
 
 
 _LOOSE_HERMITIAN = np.diag([0.5, 0.3, 0.2]).astype(complex)
