@@ -21,7 +21,7 @@ import pytest
 
 from rabicav import cli, models
 from rabicav import closed_form as cf
-from rabicav.core import Basis
+from rabicav.core import Basis, partial_transpose
 
 _GRID = ("--end-us", "60", "--step-us", "0.25")
 _DEGENERATE = ("--gamma1", "1000", "--gamma2", "1000", "--gamma3", "46.6")
@@ -69,27 +69,67 @@ def test_csv_is_byte_identical(tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def _exact_case(name, params, geometry):
-    """The generator and initial state of a case the exact block propagator writes."""
+def _exact_case(name, params, geometry, gamma3=None):
+    """The generator and initial state of a case, ``gamma3`` a sweep value.
+
+    The closed-form cases are built at omega0 = 1: none of their columns
+    depends on omega0, and at the real omega0 the block expm rounds the
+    dressed coherence phase, w0/2 +- g, by about 5e-9 at 500 us.
+    """
     if name == "phenom-t":
         kind = models.PhenomT.from_temperature(0.3 * params.g, params)
         return models.build_liouvillian(kind, params), cf.initial_excited_state(Basis.BARE)
     if name.startswith("phenom-t0"):
         kind = models.PhenomT0(1e6 if name.endswith("hyperbolic") else 0.3 * params.g)
         return models.build_liouvillian(kind, params), cf.initial_excited_state(Basis.BARE)
-    kind = models.OpenCavity(models.DecayRates.simplified(1000.0, 1000.0, 46.6, 0.0466))
-    if name == "degenerate-gaussian":   # the profile enters through the phase coupling
+    if name.startswith("degenerate"):
+        kind = models.OpenCavity(models.DecayRates.simplified(1000.0, 1000.0, 46.6, 0.0466))
+    else:
+        if name.startswith("microscopic"):
+            kind = models.Microscopic(17.73, 17.73)
+        else:
+            rates = models.DecayRates.simplified(17.73, 17.73, gamma3 or 0.07 * params.g, 0.0466)
+            kind = models.OpenCavity(rates)
+        params = replace(params, omega0=1.0)
+    if "gaussian" in name:   # the profile enters through the phase coupling
         params = replace(params, g=params.g * geometry.profile_mean)
     return models.build_liouvillian(kind, params), cf.initial_excited_state(Basis.DRESSED)
 
 
+def _entangle_columns(columns):
+    """``entangle``'s lambda1..lambda4 (sorted) and coherence columns from
+    ``simulate``'s dressed-state columns, by a numeric eigensolve."""
+    m = np.zeros((len(columns), 3, 3), dtype=complex)
+    m[:, [0, 1, 2], [0, 1, 2]] = columns[:, 1:4]
+    m[:, 0, 1] = columns[:, 4] + 1j * columns[:, 5]
+    m[:, 1, 0] = m[:, 0, 1].conj()
+    u = models.dressed_state_matrix()
+    bare = u @ m @ u.conj().T
+    rho4 = np.zeros((len(columns), 4, 4), dtype=complex)
+    rho4[:, 1:, 1:] = bare
+    spectrum = np.linalg.eigvalsh([partial_transpose(r) for r in rho4])
+    return np.column_stack([spectrum, bare[:, 0, 1].real, bare[:, 0, 1].imag])
+
+
 @pytest.mark.parametrize("name", ["phenom-t", "phenom-t0", "phenom-t0-hyperbolic",
-                                  "degenerate", "degenerate-gaussian"])
+                                  "degenerate", "degenerate-gaussian", "simulate",
+                                  "simulate-gaussian-spread", "entangle", "entangle-gaussian",
+                                  "sweep", "microscopic", "microscopic-gaussian"])
 def test_exact_rows_match_block_expm(tmp_path, name, params, geometry, block_expm):
     argv, _ = CASES[name]
     out = tmp_path / f"{name}.csv"
     assert cli.main([*argv, "-o", str(out)]) == 0
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
-    liou, rho0 = _exact_case(name, params, geometry)
-    expected = block_expm(liou, rho0, rows[:, 0] * 1e-6)
-    assert np.max(np.abs(rows[:, [1, 3, 4, 5, 6, 7]] - expected)) <= 1e-13
+    if name == "sweep":   # one block of rows per gamma3, after the sweep column
+        cases = [(rows[rows[:, 0] == v, 1:], v) for v in np.unique(rows[:, 0])]
+    else:
+        cases = [(rows, None)]
+    for block, gamma3 in cases:
+        liou, rho0 = _exact_case(name, params, geometry, gamma3)
+        expected = block_expm(liou, rho0, block[:, 0] * 1e-6)
+        if name.startswith("entangle"):
+            got = np.column_stack([np.sort(block[:, 1:5], axis=1), block[:, 5:7]])
+            expected = _entangle_columns(expected)
+        else:   # p_g_convolved is a smeared curve, not a state
+            got = block[:, [1, 3, 4, 5, 6, 7]]
+        assert np.max(np.abs(got - expected)) <= 1e-13
