@@ -409,13 +409,16 @@ def opencavity_rho(rates: DecayRates, eps: float, params: PhysicalParams,
 
 def _population_decay(rates: DecayRates, eps: float):
     """Gap S and the decay rates kp, km; None for a vanishing gap.  kp, km equal
-    -eigenvalues[1:3] but are formed in the rounding the curve digests pin."""
+    -eigenvalues[1:3] but are formed in the rounding the curve digests pin.
+
+    Under the exact simplification S^2 >= 0; rates that meet it only within
+    its tolerance may give S^2 < 0 next to S = 0, which counts as vanishing.
+    """
     _check_simplified(rates, eps)
     s, degenerate = _gap(rates)
-    if degenerate:
+    if degenerate or isinstance(s, complex):
         return None
     g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
-    s = s.real
     total = g1 + g2 + 2.0 * g3 + eps * (g1 + g2)
     return s, (total + s) / 4.0, (total - s) / 4.0
 

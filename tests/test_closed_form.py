@@ -264,6 +264,24 @@ def test_opencavity_rho_near_singular_families(params, block_expm, gamma2, bound
         assert err <= bound, d
 
 
+def test_opencavity_negative_gap_square_takes_the_fallback(params):
+    # gamma_b is off eps*gamma2 by 1e-6, inside the simplification's
+    # tolerance, and gamma1 - gamma2 = 1e-7: S^2 = -1.8e-13 < 0
+    eps, gamma1 = 0.0466, 1000.0
+    gamma2 = gamma1 - 1e-7
+    gamma3 = (eps * (gamma1 + gamma2) + 1e-6 - 1e-7) / 2.0
+    rates = models.DecayRates(gamma1, gamma2, gamma3, eps * gamma1, eps * gamma2 + 1e-6, gamma3)
+    assert isinstance(cf.damping_basis(rates).s_value, complex)
+    ts = np.linspace(0.0, 500e-6, 11)
+    rho = cf.opencavity_rho(rates, eps, params, ts)
+    assert rho.note == "fallback"
+    pg = cf.opencavity_pg(rates, eps, params, ts)
+    assert np.max(np.abs(pg - models.ground_state_probability(rho))) <= 1e-12
+    h = np.diag(models.dressed_hamiltonian(params)).real
+    trace = np.einsum("i,nii->n", h, rho.matrix).real
+    assert np.max(np.abs(cf.energy_mean(rates, eps, params, ts) - trace)) <= 1e-12 * params.omega0
+
+
 # ---------------------------------------------------------------------------
 # open-cavity closed forms
 # ---------------------------------------------------------------------------
