@@ -192,8 +192,7 @@ def write_csv(path: str | None, header: list[str], rows: np.ndarray) -> None:
     written in blocks of :data:`~rabicav.core.BLOCK` rows (the header goes with
     the first), so memory does not grow with the size of the CSV.  A path that
     cannot be written raises ConfigError (exit 2) and leaves no partial file,
-    even after earlier blocks went out.  On stdout, a reader that closes the
-    pipe early (``| head``) ends the output quietly.
+    even after earlier blocks went out.
     """
     def texts():
         lines = [",".join(header)]
@@ -203,12 +202,8 @@ def write_csv(path: str | None, header: list[str], rows: np.ndarray) -> None:
             lines = []
 
     if path is None:
-        try:
-            for text in texts():
-                sys.stdout.write(text)
-            sys.stdout.flush()
-        except BrokenPipeError:   # the reader is gone: the exit flush goes nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        for text in texts():
+            sys.stdout.write(text)
         return
     opened = False
     try:
@@ -530,16 +525,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    A reader that closes stdout early (``| head``) ends any command quietly,
+    with the command's code, or 0 if the command was cut short.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:   # the reader is gone: the exit flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return code
 
 
 if __name__ == "__main__":

@@ -196,17 +196,24 @@ def test_write_csv_memory_does_not_grow_with_the_table(tmp_path):
     assert peak <= 4e6   # the whole text and its row strings took 41.5 MB
 
 
+# `rabicav energy ... | head -1`: the reader leaves after one line; the
+# commands that print a few lines are read as `| head -0`
+@pytest.mark.parametrize("argv, first_line", [
+    (("energy", "--step-us", "0.01"), b"t_us,omega_bar,omega_bar_convolved\n"),
+    (("davies-check",), None),
+    (("fit-q", "--end-us", "50"), None),
+], ids=["energy", "davies-check", "fit-q"])
 @pytest.mark.parametrize("unbuffered", [None, "1"])
-def test_closed_stdout_ends_quietly(unbuffered):
-    # `rabicav energy ... | head -1`: the reader leaves after one line
+def test_closed_stdout_ends_quietly(unbuffered, argv, first_line):
     src = os.path.dirname(os.path.dirname(rabicav.__file__))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
-    with subprocess.Popen([sys.executable, "-m", "rabicav.cli", "energy", "--step-us", "0.01"],
+    with subprocess.Popen([sys.executable, "-m", "rabicav.cli", *argv],
                           env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.readline() == b"t_us,omega_bar,omega_bar_convolved\n"
+        if first_line is not None:
+            assert proc.stdout.readline() == first_line
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
