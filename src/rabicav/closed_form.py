@@ -171,9 +171,9 @@ def microscopic_rho(g: float, gamma1: float, gamma2: float, t) -> DensityMatrix:
     ts = time_grid(t)
     if gamma1 < 0 or gamma2 < 0:
         raise ValidationError("rates must be >= 0")
-    e1 = elementwise(math.exp, -gamma1 * ts / 2.0)
-    e2 = elementwise(math.exp, -gamma2 * ts / 2.0)
-    coh = -0.5 * elementwise(math.exp, -(gamma1 + gamma2) * ts / 4.0)
+    e1 = np.exp(-gamma1 * ts / 2.0)
+    e2 = np.exp(-gamma2 * ts / 2.0)
+    coh = -0.5 * np.exp(-(gamma1 + gamma2) * ts / 4.0)
     diag = np.column_stack([0.5 * e1, 0.5 * e2, 1.0 - 0.5 * e1 - 0.5 * e2])
     return _state(diag, coh * np.exp(-2j * g * ts), coh * np.exp(2j * g * ts),
                   Basis.DRESSED, t)

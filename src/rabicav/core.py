@@ -78,11 +78,11 @@ def blocks(array: np.ndarray):
 def elementwise(fn, *arrays) -> np.ndarray:
     """``fn`` applied to matching elements of 1-D arrays, as a float array.
 
-    numpy's vectorised exp, hypot, complex abs and complex arithmetic may
-    round the last bit differently from the ``math``/``cmath`` scalar
-    functions; state producers evaluate those pieces through this helper so
-    an array call reproduces its scalar calls bit for bit.  ``fn`` may return
-    a tuple, giving one column per entry.
+    numpy's vectorised exp may round the last bit differently from
+    ``math.exp``; :func:`rabicav.closed_form.opencavity_rho` evaluates its
+    exponentials through this helper, so its states keep the bits the
+    golden CSV digests pin.  ``fn`` may return a tuple, giving one column
+    per entry.
     """
     return np.array(list(map(fn, *(np.asarray(a).tolist() for a in arrays))), dtype=float)
 

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Basis, DensityMatrix, ValidationError, elementwise, hermitian_eigen, partial_transpose,
-)
+from .core import Basis, DensityMatrix, ValidationError, hermitian_eigen, partial_transpose
 from .closed_form import _phase_coupling, opencavity_rho
 from .evolve import CavityGeometry
 from .models import DecayRates, PhysicalParams, dressed_transform
@@ -54,7 +52,7 @@ def ppt_spectrum(rho4: DensityMatrix) -> np.ndarray:
     scale = np.maximum(1.0, magnitude.max(axis=(1, 2)))
     sparse = magnitude[:, ~_SPARSE_PATTERN].max(axis=1) <= 1e-12 * scale
     p00 = m[:, 3, 3].real
-    root = elementwise(lambda p, c: math.hypot(p, 2.0 * abs(c)), p00, m[:, 1, 2])
+    root = np.hypot(p00, 2.0 * np.abs(m[:, 1, 2]))
     spec = np.stack([m[:, 2, 2].real, m[:, 1, 1].real,
                      0.5 * (p00 + root), 0.5 * (p00 - root)], axis=-1)
     for i in np.flatnonzero(~sparse):
