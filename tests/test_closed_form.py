@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rabicav import closed_form as cf
@@ -130,6 +131,27 @@ def test_microscopic_matches_rk_oracle():
     state = _rk_state(models.Microscopic(g1, g2), params, 30e-6)
     closed = cf.microscopic_rho(params.g, g1, g2, 30e-6)
     assert np.max(np.abs(closed.matrix - state.matrix)) <= 1e-10
+
+
+_UNIT_W0 = models.PhysicalParams(omega0=1.0)
+_RATE = st.floats(-1.0, 6.0).map(lambda x: 10.0 ** x)   # log-uniform in [0.1, 1e6]
+_OBSERVATION_TIMES = np.linspace(0.0, 500e-6, 26)
+
+
+# the oracle runs at omega0 = 1: at the real omega0, w0/2 +- g rounds the
+# dressed coherence phase by about 5e-9 at 500 us; no column depends on omega0
+@settings(max_examples=40, deadline=None)
+@given(gamma1=st.one_of(st.just(0.0), _RATE), gamma2=st.one_of(st.just(0.0), _RATE),
+       g_scale=st.floats(0.05, 1.0))
+def test_microscopic_rho_matches_block_expm(params, block_expm, gamma1, gamma2, g_scale):
+    g = params.g * g_scale
+    rho = cf.microscopic_rho(g, gamma1, gamma2, _OBSERVATION_TIMES)
+    liou = models.build_liouvillian(models.Microscopic(gamma1, gamma2), replace(_UNIT_W0, g=g))
+    expected = block_expm(liou, cf.initial_excited_state(Basis.DRESSED), _OBSERVATION_TIMES)
+    m = rho.matrix
+    got = np.column_stack([m[:, 0, 0].real, m[:, 1, 1].real, m[:, 2, 2].real,
+                           m[:, 0, 1].real, m[:, 0, 1].imag])
+    assert np.max(np.abs(got - expected[:, 1:])) <= 1e-13
 
 
 def test_microscopic_pg_symmetry_exact(params):
@@ -346,6 +368,31 @@ def test_opencavity_gaussian_profile_changes_phase_only(params, paper_rates, geo
     assert np.angle(gauss.matrix[0, 1] / const.matrix[0, 1]) == pytest.approx(
         (-2 * params.g * factor * t + 2 * params.g * t + math.pi) % (2 * math.pi) - math.pi,
         abs=1e-9)
+
+
+# gamma1 = gamma2 with gamma3 = eps*gamma1*(1 +- 10^-k) lies next to the
+# vanishing gap; gamma2 << gamma1 next to a vanishing stationary normalization
+@settings(max_examples=60, deadline=None)
+@given(gamma1=_RATE, gamma2=_RATE, gamma3=_RATE, eps=st.floats(0.0, 1.0))
+@example(gamma1=1000.0, gamma2=1000.0, gamma3=46.6 * (1.0 + 1e-10), eps=0.0466)
+@example(gamma1=1000.0, gamma2=1000.0, gamma3=46.6 * (1.0 - 1e-10), eps=0.0466)
+@example(gamma1=1000.0, gamma2=1000.0, gamma3=46.6 * (1.0 + 1e-4), eps=0.0466)
+@example(gamma1=3e5, gamma2=3e5, gamma3=0.9 * 3e5 * (1.0 - 1e-7), eps=0.9)
+@example(gamma1=1e6, gamma2=0.1, gamma3=0.1, eps=1.0)
+@example(gamma1=2e5, gamma2=0.5, gamma3=4.0, eps=0.0466)
+@example(gamma1=1000.0, gamma2=0.1, gamma3=46.6, eps=0.0466)
+def test_opencavity_curves_match_block_expm(params, block_expm, gamma1, gamma2, gamma3, eps):
+    rates = models.DecayRates.simplified(gamma1, gamma2, gamma3, eps)
+    # an exactly vanishing gap takes the exact fallback, built at the real
+    # omega0; test_degenerate_sum_equals_fallback_states covers it
+    assume(not cf.damping_basis(rates).degenerate)
+    liou = models.build_liouvillian(models.OpenCavity(rates), _UNIT_W0)
+    expected = block_expm(liou, cf.initial_excited_state(Basis.DRESSED), _OBSERVATION_TIMES)
+    pg = cf.opencavity_pg(rates, eps, params, _OBSERVATION_TIMES)
+    assert np.max(np.abs(pg - expected[:, 0])) <= 1e-13
+    energy = cf.energy_mean(rates, eps, params, _OBSERVATION_TIMES)
+    h = np.diag(models.dressed_hamiltonian(params)).real
+    assert np.max(np.abs(energy - expected[:, 1:4] @ h)) <= 1e-13 * params.omega0
 
 
 # ---------------------------------------------------------------------------
