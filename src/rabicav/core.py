@@ -75,16 +75,15 @@ def blocks(array: np.ndarray):
     return (array[i:i + BLOCK] for i in range(0, max(len(array), 1), BLOCK))
 
 
-def elementwise(fn, *arrays) -> np.ndarray:
-    """``fn`` applied to matching elements of 1-D arrays, as a float array.
+def elementwise(fn, array) -> np.ndarray:
+    """``fn`` applied to each element of a 1-D array, as a float array.
 
     numpy's vectorised exp may round the last bit differently from
     ``math.exp``; :func:`rabicav.closed_form.opencavity_rho` evaluates its
     exponentials through this helper, so its states keep the bits the
-    golden CSV digests pin.  ``fn`` may return a tuple, giving one column
-    per entry.
+    golden CSV digests pin.
     """
-    return np.array(list(map(fn, *(np.asarray(a).tolist() for a in arrays))), dtype=float)
+    return np.array(list(map(fn, np.asarray(array).tolist())), dtype=float)
 
 
 def time_grid(t, name: str = "t") -> np.ndarray:
