@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import acceptance, closed_form as cf, dephase, entangle, evolve, fitting, models
+from . import closed_form as cf, dephase, entangle, evolve, fitting, models
 from .core import Basis, ValidationError, blocks
 
 EXIT_OK = 0
@@ -455,6 +455,8 @@ def cmd_davies_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import acceptance   # here only: no other command pays for importing it
+
     results = acceptance.run_all()
     width = max(len(r.name) for r in results)
     failed = 0

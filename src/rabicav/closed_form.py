@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Basis, DensityMatrix, ValidationError, elementwise, time_grid
-from .evolve import CavityGeometry, SQRT_PI, _block_eigen
+from .evolve import CavityGeometry, SQRT_PI, _block_family
 from .models import (
     DecayRates, OpenCavity, PhysicalParams, _unit, dressed_hamiltonian, unvec, vec,
 )
@@ -355,16 +355,18 @@ def _fallback(rates: DecayRates, params: PhysicalParams, t,
               geometry: CavityGeometry | None):
     """Exact propagation on the invariant block of |e,0><e,0| (degenerate inputs).
 
-    One eigendecomposition by :func:`rabicav.evolve._block_eigen` serves every
-    time in ``t``.  Returns the states at ``t``, tagged ``"fallback"``, the
-    block's eigenvalues lam and the modes: vec(rho(t)) = modes @ exp(lam t).
+    One eigendecomposition of the generator on the block
+    (:func:`rabicav.evolve._block_family`) serves every time in ``t``.
+    Returns the states at ``t``, tagged ``"fallback"``, the block's
+    eigenvalues lam and the modes: vec(rho(t)) = modes @ exp(lam t).
     For the Gaussian profile the coupling enters the generator only through
     the off-diagonal phases, so propagating with the effective coupling
     reproduces the profile-averaged state.
     """
     p = params if geometry is None else replace(params, g=_phase_coupling(params, geometry))
     rho0 = initial_excited_state(Basis.DRESSED)
-    block, _, (lam,), (vmat,) = _block_eigen(OpenCavity(rates), p, np.array([p.g]), rho0)
+    block, l0, slope = _block_family(OpenCavity(rates), p, rho0)
+    lam, vmat = np.linalg.eig(l0 + p.g * slope)
     modes = np.zeros((9, block.size), dtype=complex)
     modes[block] = vmat * np.linalg.solve(vmat, vec(rho0.matrix)[block])
     ts = time_grid(t)

@@ -215,8 +215,9 @@ def partial_transpose(rho4: DensityMatrix | np.ndarray) -> np.ndarray:
     The result has the populations on the diagonal and the |e,0><g,1|
     coherences moved to the anti-diagonal corners; it is Hermitian whenever
     the input is, and applying the operation twice returns the input exactly
-    (the map is a pure permutation of entries).  A raw 4x4 array is accepted
-    so the output, which is generally not positive, can be transposed back.
+    (the map is a pure permutation of entries).  A stacked state gives one
+    matrix per member.  A raw 4x4 array is accepted so the output, which is
+    generally not positive, can be transposed back.
     """
     if isinstance(rho4, DensityMatrix):
         if rho4.basis is not Basis.BARE4:
@@ -224,5 +225,5 @@ def partial_transpose(rho4: DensityMatrix | np.ndarray) -> np.ndarray:
         m = rho4.matrix
     else:
         m = as_square_matrix(rho4, dims=(4,))
-    blocks = m.reshape(2, 2, 2, 2)
-    return np.ascontiguousarray(blocks.transpose(2, 1, 0, 3).reshape(4, 4))
+    blocks = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
+    return np.ascontiguousarray(np.swapaxes(blocks, -4, -2).reshape(m.shape))

@@ -2,19 +2,24 @@
 
 Every constant generator is propagated exactly, by one eigendecomposition on
 the initial state's invariant block (:func:`nstep_propagate` at n = 1, the
-open-cavity fallback).  The embedded Dormand-Prince 5(4) pair, each step a
-polynomial in L, is the oracle the acceptance suite checks them against.
+open-cavity fallback).  The n-step product carries the state in
+eigen-coordinates, one link V_{j+1}^-1 V_j between consecutive factors, and
+builds links and exponentials in chunks of bounded size; at n = 1 it is the
+exact propagator, operation for operation.  The embedded Dormand-Prince 5(4)
+pair, each step one stacked polynomial product in L, is the oracle the
+acceptance suite checks them against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .core import DensityMatrix, ValidationError, time_grid
+from .core import BLOCK, DensityMatrix, ValidationError, time_grid
 from .models import (
     Liouvillian, ModelKind, PhysicalParams, build_liouvillian,
     ground_state_probability, vec, unvec,
@@ -108,14 +113,11 @@ class StepUnderflowError(RuntimeError):
 # coefficients of z^0 .. z^7, exact from the tableau:
 _R = np.array((1.0, 1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0))
 _E = np.array((0.0, 0.0, 0.0, 0.0, 0.0, -97 / 120000, 13 / 40000, -1 / 24000))
+# Both rows at once: (_RE * h^m) @ [L^m y] is the new state and its error estimate.
+_RE = np.stack((_R, _E))
+_POWERS = np.arange(float(_R.size))
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 5.0
-
-
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
-                rtol: float, atol: float) -> float:
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.max(np.abs(err) / scale))
 
 
 # A step that overflows is rejected through its non-finite error norm.
@@ -159,9 +161,10 @@ def integrate(liouvillian: Liouvillian, rho0: DensityMatrix, t_end: float, *,
     # k = [L^m y], m = 0..7, the terms of both polynomials; a rejected step reuses it.
     pows = np.array([np.linalg.matrix_power(mat, m) for m in range(_R.size)])
     k = pows @ y
+    abs_y = np.abs(y)
     # Initial step guess from the scaled sizes of y and f.
-    d0 = float(np.max(np.abs(y))) or 1.0
-    d1 = float(np.max(np.abs(k[1])))
+    d0 = float(abs_y.max()) or 1.0
+    d1 = float(np.abs(k[1]).max())
     h = min(targets[-1] - t, 0.01 * d0 / d1 if d1 > 0 else targets[-1])
     h_min_floor = 1e-15
 
@@ -170,15 +173,14 @@ def integrate(liouvillian: Liouvillian, rho0: DensityMatrix, t_end: float, *,
         h = min(h, t_next_out - t)
         if h < h_min_floor * max(t, t_next_out, 1e-30):
             raise StepUnderflowError(t)
-        hm = h ** np.arange(_R.size)
-        y_new = (_R * hm) @ k
-        err = (_E * hm) @ k
-        norm = _error_norm(err, y, y_new, rtol, atol)
+        y_new, err = (_RE * h ** _POWERS) @ k
+        abs_new = np.abs(y_new)
+        norm = (np.abs(err) / (atol + rtol * np.maximum(abs_y, abs_new))).max()
         if not np.isfinite(norm):
             norm = np.inf
         if norm <= 1.0:
             t = t + h
-            y = y_new
+            y, abs_y = y_new, abs_new
             k = pows @ y
             if t >= t_next_out - 1e-15 * max(1.0, abs(t_next_out)):
                 recorded.append(y)
@@ -231,12 +233,10 @@ def _midpoint_couplings(g_peak: float, geom: CavityGeometry, n: int) -> np.ndarr
     return gs
 
 
-def _block_eigen(kind: ModelKind, params: PhysicalParams, gs: np.ndarray,
-                rho0: DensityMatrix):
-    """``(block, gens, lam, vmat)``: the invariant block of ``rho0``, the vec
-    entries it reaches along the nonzero pattern of L(g) = L0 + g*L1 (the
-    others stay exactly zero), then L(g) on the block and its eigenvalues and
-    unit eigenvectors, stacked over the couplings ``gs``."""
+def _block_family(kind: ModelKind, params: PhysicalParams, rho0: DensityMatrix):
+    """``(block, l0, slope)``: the invariant block of ``rho0``, the vec entries
+    it reaches along the nonzero pattern of L(g) = L0 + g*L1 (the others stay
+    exactly zero), and L0 and L1 restricted to it."""
     l0, slope, basis = _coupling_family(kind, params)
     if rho0.basis is not basis:
         raise ValidationError("rho0 basis does not match the model basis")
@@ -245,9 +245,7 @@ def _block_eigen(kind: ModelKind, params: PhysicalParams, gs: np.ndarray,
     pattern = np.eye(v0.size, dtype=bool) | (l0 != 0) | (slope != 0)
     block = np.flatnonzero(np.linalg.matrix_power(pattern, v0.size - 1) @ (v0 != 0))
     sub = np.ix_(block, block)
-    gens = l0[sub] + gs[:, None, None] * slope[sub]
-    lam, vmat = np.linalg.eig(gens)
-    return block, gens, lam, vmat
+    return block, l0[sub], slope[sub]
 
 
 def nstep_propagate(kind: ModelKind, params: PhysicalParams,
@@ -259,31 +257,61 @@ def nstep_propagate(kind: ModelKind, params: PhysicalParams,
     state at t = 0 is ``rho0`` itself).  g_j is the coupling at the midpoint
     (j + 1/2)/n of the crossing (constant with ``geom`` absent, where n = 1
     is the exact propagator), the same for every t, so each distinct
-    generator is eigen-decomposed once (:func:`_block_eigen`) and factor j is
-    V diag(e^{lambda t/n}) V^-1, applied in order to all times at once.
+    generator is eigen-decomposed once, L(g_j) = V_j diag(lambda_j) V_j^-1.
+
+    The state rides in eigen-coordinates, z = V_0^-1 x: factor j maps z to
+    C_j (E_j z) with E_j = e^{lambda_j t/n} and the link C_j = V_{j+1}^-1 V_j,
+    the last link V_{n-1} taking z back to x.  Links and exponentials are
+    built in chunks of ``BLOCK // len(t)`` factors and the eigendecompositions
+    in slices of ``BLOCK // k`` couplings (k the block size), so only the
+    eigenvectors grow with n.  At n = 1 this is (e^{lambda t} * (x V^-T)) V^T.
     """
-    if not isinstance(n, int) or n < 1:
+    try:   # any integer, numpy's too, but not a bool
+        n = 0 if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        n = 0
+    if n < 1:
         raise ValidationError("n must be a positive integer")
     ts = time_grid(t)
     gs = np.full(n, params.g) if geom is None else _midpoint_couplings(params.g, geom, n)
     unique_gs, order = np.unique(gs, return_inverse=True)   # a constant profile has one
-    block, gens, lam, vmat = _block_eigen(kind, params, unique_gs, rho0)
-    # Near a degenerate eigenvalue (no damping, or an exceptional point) the
-    # eigenvectors are nearly dependent and V's rounding, ~1e-16 cond(V), grows;
-    # such factors use a series.  V has unit columns, so cond(V) <= k^(k/2) / |det V|.
-    degenerate = np.abs(np.linalg.det(vmat)) < 1e-2
-    vmat[degenerate] = np.eye(block.size)
-    vinv = np.linalg.inv(vmat)
+    block, l0, slope = _block_family(kind, params, rho0)
+    k, u = block.size, unique_gs.size
+    lam = np.empty((u, k), dtype=complex)
+    vmat = np.empty((u, k, k), dtype=complex)
+    vinv = np.empty((u + 1, k, k), dtype=complex)
+    vinv[u] = np.eye(k)   # the last link, I V_{n-1}, takes z back to x
+    series = {}   # generators of the degenerate factors, by coupling index
+    per = BLOCK // k
+    for lo in range(0, u, per):
+        hi = min(lo + per, u)
+        gens = l0 + unique_gs[lo:hi, None, None] * slope
+        lam[lo:hi], v = np.linalg.eig(gens)
+        # Near a degenerate eigenvalue (no damping, or an exceptional point) the
+        # eigenvectors are nearly dependent and V's rounding, ~1e-16 cond(V), grows;
+        # such factors use a series in x (V = I).  V has unit columns, so
+        # cond(V) <= k^(k/2) / |det V|.
+        degenerate = np.flatnonzero(np.abs(np.linalg.det(v)) < 1e-2)
+        v[degenerate] = np.eye(k)
+        series.update(zip((degenerate + lo).tolist(), gens[degenerate]))
+        vmat[lo:hi] = v
+        vinv[lo:hi] = np.linalg.inv(v)
+
     dt = ts[:, None] / n
-    x = np.tile(vec(rho0.matrix)[block], (ts.size, 1))
-    for j in order.tolist():
-        if degenerate[j]:
-            x = (_expm_rows(gens[j], dt) @ x[:, :, None])[:, :, 0]
-        else:
-            x = (np.exp(lam[j] * dt) * (x @ vinv[j].T)) @ vmat[j].T
+    z = np.tile(vec(rho0.matrix)[block], (ts.size, 1)) @ vinv[order[0]].T
+    nxt = np.append(order[1:], u)
+    chunk = max(1, BLOCK // ts.size)
+    for lo in range(0, n, chunk):
+        idx = order[lo:lo + chunk]
+        links = vinv[nxt[lo:lo + chunk]] @ vmat[idx]
+        exps = np.exp(lam[idx][:, None, :] * dt)
+        for j, e, c in zip(idx.tolist(), exps, links):
+            gen = series.get(j)
+            w = e * z if gen is None else (_expm_rows(gen, dt) @ z[:, :, None])[:, :, 0]
+            z = w @ c.T
 
     out = np.zeros((ts.size, rho0.matrix.size), dtype=complex)
-    out[:, block] = x
+    out[:, block] = z
     mats = unvec(out)
     mats[ts == 0.0] = rho0.matrix
     return DensityMatrix(mats[0] if np.ndim(t) == 0 else mats, rho0.basis)

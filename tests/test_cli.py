@@ -220,6 +220,26 @@ def test_closed_stdout_ends_quietly(unbuffered, argv, first_line):
     assert code == cli.EXIT_OK and err == b""
 
 
+def test_cli_import_leaves_acceptance_unloaded():
+    src = os.path.dirname(os.path.dirname(rabicav.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, rabicav.cli; sys.exit('rabicav.acceptance' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
+def test_verify_imports_acceptance_when_run(monkeypatch, capsys):
+    from rabicav import acceptance
+    monkeypatch.setattr(acceptance, "run_all", lambda: [
+        acceptance.CriterionResult(1, "first", True, "ok"),
+        acceptance.CriterionResult(2, "second", False, "off")])
+    assert run_cli("verify") == cli.EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert "[PASS]  1. first" in out and "[FAIL]  2. second" in out
+    assert out.endswith("1/2 criteria passed\n")
+
+
 def test_energy_command(tmp_path, params, paper_rates):
     out = tmp_path / "energy.csv"
     assert run_cli("energy", "--end-us", "100", "--step-us", "50",

@@ -9,7 +9,7 @@ from rabicav.core import (
     BLOCK, Basis, DensityMatrix, ValidationError, hermitian_eigen, partial_transpose,
     time_grid,
 )
-from conftest import random_hermitian
+from conftest import random_density, random_hermitian
 
 
 @pytest.mark.parametrize("t", [float("nan"), [0.0, float("nan"), 1.0]],
@@ -95,6 +95,15 @@ def test_partial_transpose_bell_block():
 def test_partial_transpose_involution_exact():
     rho = _sparse_state()
     assert np.array_equal(partial_transpose(partial_transpose(rho)), rho.matrix)
+
+
+def test_partial_transpose_of_a_stack_transposes_each_member():
+    rng = np.random.default_rng(5)
+    members = np.array([random_density(rng, 4) for _ in range(3)])
+    stack = partial_transpose(DensityMatrix(members, Basis.BARE4))
+    assert stack.shape == (3, 4, 4)
+    for m, pt in zip(members, stack):
+        assert np.array_equal(pt, partial_transpose(m))
 
 
 def test_partial_transpose_rejects_three_level():

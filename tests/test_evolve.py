@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.linalg import expm
 
 from rabicav import closed_form as cf
 from rabicav import PhysicalParams, evolve, models
-from rabicav.core import Basis, DensityMatrix, ValidationError
+from rabicav.core import BLOCK, Basis, DensityMatrix, ValidationError
 
 
 def test_geometry_validation():
@@ -289,10 +290,65 @@ def test_nstep_matches_block_expm_product(params, geometry, gamma, t, n):
 def test_nstep_validation(params, paper_rates):
     kind = models.OpenCavity(paper_rates)
     rho0 = cf.initial_excited_state(Basis.DRESSED)
-    with pytest.raises(ValidationError):
-        evolve.nstep_propagate(kind, params, None, rho0, 1e-5, 0)
-    with pytest.raises(ValidationError):
-        evolve.nstep_propagate(kind, params, None, rho0, 1e-5, 2.5)
+    for n in (0, -3, 2.5, 3.0, np.float64(3.0), True, False, np.bool_(True), "3", None,
+              np.array([3])):
+        with pytest.raises(ValidationError, match="n must be a positive integer"):
+            evolve.nstep_propagate(kind, params, None, rho0, 1e-5, n)
+
+
+@pytest.mark.parametrize("n", [np.int64(3), np.uint8(3), np.int32(3)])
+def test_nstep_accepts_numpy_integers(params, paper_rates, geometry, n):
+    kind = models.OpenCavity(paper_rates)
+    rho0 = cf.initial_excited_state(Basis.DRESSED)
+    state = evolve.nstep_propagate(kind, params, geometry, rho0, 1e-5, n)
+    assert np.array_equal(state.matrix,
+                          evolve.nstep_propagate(kind, params, geometry, rho0, 1e-5, 3).matrix)
+
+
+def test_nstep_chunks_match_per_factor_solves(params, paper_rates, geometry):
+    # three times: chunks of BLOCK // 3 = 1365 factors, so 4099 factors take four
+    kind = models.OpenCavity(paper_rates)
+    rho0 = cf.initial_excited_state(Basis.DRESSED)
+    ts = np.array([20e-6, 150e-6, 430e-6])
+    n = 4099
+    assert n > 3 * (BLOCK // ts.size)
+    stack = evolve.nstep_propagate(kind, params, geometry, rho0, ts, n)
+    for t, state in zip(ts, stack.matrix):
+        reference = _nstep_reference(kind, params, geometry, rho0, t, n)
+        assert np.max(np.abs(state - reference)) <= 1e-12
+
+
+# Two times give chunks of BLOCK // 2 = 2048 factors; the couplings are mirrored,
+# so factor n-1-j is exceptional too.
+@pytest.mark.parametrize("j", [1000, BLOCK // 2 - 1, 4098],
+                         ids=["inside-a-chunk", "last-of-a-chunk", "final-factor"])
+def test_nstep_exceptional_factor_in_any_position(params, geometry, j):
+    n = 4099
+    gs = evolve._midpoint_couplings(params.g, geometry, n)
+    kind = models.PhenomT0(4.0 * gs[j])   # gamma = 4 g_j: L(g_j) is defective
+    rho0 = cf.initial_excited_state(Basis.BARE)
+    _, l0, slope = evolve._block_family(kind, params, rho0)
+    vecs = np.linalg.eig(l0 + gs[j] * slope)[1]
+    assert abs(np.linalg.det(vecs)) < 1e-2   # the factor takes the series
+    ts = np.array([200e-6, 430e-6])
+    stack = evolve.nstep_propagate(kind, params, geometry, rho0, ts, n)
+    for t, state in zip(ts, stack.matrix):
+        reference = _nstep_reference(kind, params, geometry, rho0, t, n)
+        assert np.max(np.abs(state - reference)) <= 1e-12
+
+
+def test_nstep_memory_stays_bounded(params, paper_rates, geometry):
+    kind = models.OpenCavity(paper_rates)
+    rho0 = cf.initial_excited_state(Basis.DRESSED)
+    times = (150e-6, 430e-6)
+    evolve.nstep_propagate(kind, params, geometry, rho0, times, 101)
+    tracemalloc.start()
+    try:
+        evolve.nstep_propagate(kind, params, geometry, rho0, times, 20001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13.35 * 2 ** 20   # the product took this holding every generator at once
 
 
 def test_gaussian_integration_decays_like_constant(params, paper_rates, geometry):
