@@ -1,10 +1,13 @@
-"""Byte-identity of the CLI's CSV output on small grids.
+"""Byte-identity of the CLI's CSV output.
 
-Each digest is the sha256 of a CSV the current producers write, and
+Most cases run on small grids of one block; ``energy-multi-block`` writes
+12 001 rows, three blocks of :data:`~rabicav.core.BLOCK` rows with a partial
+last one, so the joins between blocks are pinned too.  Each digest is the
+sha256 of a CSV the current producers write, and
 :func:`test_exact_rows_match_block_expm` checks the values of every case
-but ``energy-spread`` against scipy's expm of the invariant block of
+but the two ``energy`` ones against scipy's expm of the invariant block of
 |e,0><e,0| (built at omega0 = 1 for the closed-form cases, which do not
-depend on it); ``energy-spread`` writes the mean-energy curves, not
+depend on it); the ``energy`` cases write the mean-energy curves, not
 states.  A change in the last bit of any value, or in the sign of a zero,
 changes the digest.  The digests were taken with numpy 2.4 and glibc's
 libm on x86-64 Linux (AVX-512); a platform whose exp, cos or hypot rounds
@@ -37,6 +40,9 @@ CASES = {
         "b6200494f6624126bbe39b9870e7262482da86c7bcb82dda3b39c072ad22fd45"),
     "energy-spread": (("energy", "--delta-t-us", "5", *_GRID),
                       "ad81e5f77554c6f18a3c755f49eee4aff1eaa8b1a8cda123920ab9f3e9938580"),
+    "energy-multi-block": (
+        ("energy", "--delta-t-us", "5", "--end-us", "60", "--step-us", "0.005"),
+        "3be5c91a83e6c3d16dddaff5b82b1d0f108a042cdc08adacc79c7d15c3d56eb0"),
     "sweep": (("simulate", "--sweep", "gamma3=2000:20000:3", "--end-us", "60", "--step-us", "1"),
               "10a16af7bb68c173bdb317bbdbaef8e5d9bd445a20ac939e981800c304f7604d"),
     "phenom-t0": (("simulate", "--model", "phenom-t0", *_GRID),
