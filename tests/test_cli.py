@@ -1,9 +1,12 @@
 import argparse
 import dataclasses
+import errno
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
@@ -18,6 +21,31 @@ from rabicav.core import BLOCK
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the CSV workers forked during the test, on two CPUs
+    whatever the host has."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return pids
+
+
+def assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def read_csv(path):
@@ -136,7 +164,8 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_write_failing_after_the_first_block_leaves_no_file(tmp_path, monkeypatch, capsys):
+def test_write_failing_after_the_first_block_leaves_no_file(tmp_path, monkeypatch, capsys,
+                                                           forks):
     writes = []
 
     class FullAfterOneBlock:
@@ -165,6 +194,48 @@ def test_write_failing_after_the_first_block_leaves_no_file(tmp_path, monkeypatc
     assert "No space left on device" in err
     assert writes[0].count("\n") == BLOCK + 1   # header and the first block went out
     assert not out.exists()
+    assert_reaped(forks)
+
+
+def test_unwritable_worker_file_is_usage_error(tmp_path, monkeypatch, capsys, forks):
+    class Unwritable(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *a, **k: Unwritable())
+    out = tmp_path / "out.csv"
+    assert run_cli("energy", "--end-us", str(2 * BLOCK), "-o", str(out)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write output {str(out)!r}: No space left on device\n"
+    assert not out.exists()
+    assert run_cli("energy", "--end-us", str(2 * BLOCK)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: cannot write output to stdout: No space left on device\n"
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+def test_closed_stdout_reaps_the_worker(monkeypatch, forks):
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    with pytest.raises(BrokenPipeError):
+        cli.write_csv(None, ["a", "b"], np.zeros((2 * BLOCK + 5, 2)))
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("n, cpus", [(BLOCK, {0, 1}), (2 * BLOCK + 5, {0})],
+                         ids=["one-block", "one-cpu"])
+def test_table_is_written_without_a_fork(tmp_path, monkeypatch, n, cpus):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    cli.write_csv(str(tmp_path / "t.csv"), ["a"], np.zeros((n, 1)))
+    assert (tmp_path / "t.csv").read_text() == "a\n" + "0.0\n" * n
 
 
 def _one_shot_csv(header, rows):
@@ -172,8 +243,8 @@ def _one_shot_csv(header, rows):
     return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
 
 
-@pytest.mark.parametrize("n", [0, 1, BLOCK, 2 * BLOCK + 5])
-def test_block_csv_is_byte_equal_to_one_shot_text(tmp_path, capsys, n):
+@pytest.mark.parametrize("n", [0, 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5, 3 * BLOCK + 7])
+def test_block_csv_is_byte_equal_to_one_shot_text(tmp_path, capsys, forks, n):
     values = np.array([-0.0, 1e16, 1e-5, 5e-324, 3.0, -7.0, 0.1, 2.0 ** 60])
     rows = np.resize(values, (n, 3))
     rows[:, 0] = np.arange(n)
@@ -183,6 +254,9 @@ def test_block_csv_is_byte_equal_to_one_shot_text(tmp_path, capsys, n):
     reference = _one_shot_csv(header, rows)
     assert (tmp_path / "t.csv").read_text() == reference
     assert capsys.readouterr().out == reference
+    assert len(forks) == (2 if n > BLOCK else 0)   # one worker for each output
+    if forks:
+        assert_reaped(forks)
 
 
 def test_write_csv_memory_does_not_grow_with_the_table(tmp_path):
