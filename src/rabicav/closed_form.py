@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -64,54 +65,138 @@ class ExpSum:
     :meth:`at` and :meth:`smeared` take a time or a 1-D array of times >= 0
     and return a float or an array.  A term with real c reduces to
     c*exp(Re z t)*cos(Im z t), with real z to c*exp(z t), and is evaluated
-    in that reduced form.
+    in that reduced form; a term with c = 0 is skipped.
+
+    ``dc`` and ``dz``, when given, hold the derivatives of c and z along P
+    parameter directions, as P rows of K numbers, for :meth:`slopes`.
     """
 
     const: float
     c: np.ndarray     # shape (K,), K >= 1, real or complex
     z: np.ndarray     # shape (K,), real or complex
+    dc: Sequence[Sequence[complex]] | None = None
+    dz: Sequence[Sequence[complex]] | None = None
 
     def at(self, t):
         """The sum at the sharp time(s) ``t``."""
-        return self._sum(t, lambda z, ts: (np.exp(z.real * ts), z.imag * ts if z.imag else None))
+        return self._sum(t, 0.0)[0]
 
     def smeared(self, delta_t: float, t):
         """The sum averaged over a gamma-distributed evolution time of mean t
         and variance t*delta_t (:func:`rabicav.dephase.gamma_kernel`).
 
         The kernel's moment-generating identity maps each e^{z t} to
-        (1 - z*delta_t)^{-t/delta_t} (Bonifacio, Olivares, Tombesi & Vitali,
-        PRA 61, 053802 (2000)).  ``delta_t == 0`` gives :meth:`at`.
+        e^{phi t} with phi = -log(1 - z*delta_t)/delta_t (Bonifacio,
+        Olivares, Tombesi & Vitali, PRA 61, 053802 (2000)).
+        ``delta_t == 0`` gives :meth:`at`.
         """
-        if not 0 <= delta_t < math.inf:   # a NaN fails too
-            raise ValidationError("delta_t must be >= 0 and finite")
-        if delta_t == 0.0:
-            return self.at(t)
+        return self._sum(t, _spread(delta_t))[0]
 
-        def term(z, ts):
-            a, w = -z.real, z.imag
-            if not w:
-                return np.exp(-(ts / delta_t) * math.log1p(a * delta_t)), None
-            # log|1 - z dt|^2 and -arg(1 - z dt)
-            log_mod = math.log1p(2.0 * a * delta_t + (a * a + w * w) * delta_t * delta_t)
-            phase = math.atan2(w * delta_t, 1.0 + a * delta_t)
-            return np.exp(-(ts / (2.0 * delta_t)) * log_mod), (ts / delta_t) * phase
+    def slopes(self, delta_t: float, t, wrt_delta_t: bool = False):
+        """:meth:`smeared` and its derivatives: the values and a (P, N) array
+        of columns, one per row of ``dc`` and ``dz`` and, with
+        ``wrt_delta_t``, a last one for delta_t; the columns are None when
+        ``dc`` is.
 
-        return self._sum(t, term)
+        Each column is Re sum_k (dc_k + c_k t dphi_k) e^{phi_k t}, formed from
+        the exponentials that give the values, which are those of
+        :meth:`smeared` bit for bit.
+        """
+        return self._sum(t, _spread(delta_t), self.dc is not None, wrt_delta_t)
 
-    def _sum(self, t, term):
-        """const plus each term, given as (modulus, phase or None) by ``term(z, ts)``."""
+    def _sum(self, t, delta_t: float, columns: bool = False, wrt_delta_t: bool = False):
+        """The sum at ``t``, sharp for ``delta_t == 0``, else smeared, and its
+        columns (None unless ``columns``)."""
         ts = time_grid(t)
-        out = self.const
-        for c, z in zip(self.c.tolist(), self.z.tolist()):
-            mod, phase = term(z, ts)
-            if phase is None:
-                out = out + c.real * mod
-            elif not c.imag:
-                out = out + c.real * mod * np.cos(phase)
+        out = np.full(ts.shape, self.const)
+        if delta_t:
+            t_dt, t_2dt = ts / delta_t, ts / (2.0 * delta_t)
+        cs = live = self.c.tolist()
+        if columns:
+            weights, live = self._weights(delta_t, wrt_delta_t)
+            # Re and Im of each term's exponential, one row each
+            parts = np.zeros((2 * len(cs), ts.size))
+        for k, (c, z) in enumerate(zip(cs, self.z.tolist())):
+            if not live[k]:
+                continue
+            a, w = -z.real, z.imag
+            if not delta_t:
+                mod, phase = np.exp(z.real * ts), (z.imag * ts if w else None)
+            elif not w:
+                mod, phase = np.exp(-t_dt * math.log1p(a * delta_t)), None
             else:
-                out = out + mod * (c.real * np.cos(phase) - c.imag * np.sin(phase))
-        return float(out[0]) if np.ndim(t) == 0 else out
+                # log|1 - z dt|^2 and -arg(1 - z dt)
+                log_mod = math.log1p(2.0 * a * delta_t + (a * a + w * w) * delta_t * delta_t)
+                mod = np.exp(-t_2dt * log_mod)
+                phase = t_dt * math.atan2(w * delta_t, 1.0 + a * delta_t)
+            if phase is not None:
+                cos = np.cos(phase)
+                sin = np.sin(phase) if c.imag or columns else None
+            if columns:
+                if phase is None:
+                    parts[2 * k] = mod
+                else:
+                    np.multiply(mod, cos, out=parts[2 * k])
+                    np.multiply(mod, sin, out=parts[2 * k + 1])
+            # in place, rounding as const + c*mod*cos, term by term
+            if phase is not None and c.imag:
+                cos *= c.real
+                sin *= c.imag
+                cos -= sin
+                mod *= cos
+            else:
+                mod *= c.real
+                if phase is not None:
+                    mod *= cos
+            out += mod
+        values = float(out[0]) if np.ndim(t) == 0 else out
+        if not columns:
+            return values, None
+        # the dc rows weigh the exponentials, the c dphi rows t times them
+        both = weights @ parts
+        d, f = both[:len(both) // 2], both[len(both) // 2:]
+        f *= ts
+        d += f
+        return values, d
+
+    def _weights(self, delta_t: float, wrt_delta_t: bool):
+        """The weights of (Re, Im) of each term's exponential in the columns:
+        (Re, -Im) of dc_k in the first half of the rows, of c_k dphi_k in the
+        second; and whether each term counts (c_k or a dc_k nonzero)."""
+        c, z = self.c.tolist(), self.z.tolist()
+        d = list(self.dc)
+        # c dphi/dz, with dphi/dz = 1/(1 - z dt)
+        g = [ck / (1.0 - zk * delta_t) for ck, zk in zip(c, z)]
+        f = [[dzk * gk for dzk, gk in zip(row, g)] for row in self.dz]
+        if wrt_delta_t:
+            d.append((0.0,) * len(c))
+            f.append([ck * _dphi_ddelta_t(zk, delta_t) for ck, zk in zip(c, z)])
+        live = [ck != 0 or any(row[k] for row in d) for k, ck in enumerate(c)]
+        # (Re w, -Im w) pairs, as the float view of conj(w)
+        w = np.array(d + f, dtype=complex).reshape(len(d) + len(f), len(c))
+        return w.conj().view(float), live
+
+
+def _spread(delta_t: float) -> float:
+    if not 0 <= delta_t < math.inf:   # a NaN fails too
+        raise ValidationError("delta_t must be >= 0 and finite")
+    return delta_t
+
+
+def _dphi_ddelta_t(z: complex, delta_t: float) -> complex:
+    """d/d(delta_t) of phi = -log(1 - z delta_t)/delta_t, which is z^2/2 at delta_t = 0.
+
+    It is z^2 h(u) with u = z delta_t and h(u) = (u/(1 - u) + log(1 - u))/u^2.
+    That form loses about 4 eps/|u| relative to cancellation, so below
+    |u| = 0.01 h is summed as its series sum_m (m + 1)/(m + 2) u^m, to u^8.
+    """
+    u = z * delta_t
+    if abs(u) >= 0.01:
+        return (u / (1.0 - u) + cmath.log(1.0 - u)) / (delta_t * delta_t)
+    h = 0.0
+    for m in range(8, -1, -1):
+        h = h * u + (m + 1) / (m + 2)
+    return z * z * h
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +511,16 @@ def _population_decay(rates: DecayRates, eps: float):
 
 
 def _pg_sum(rates: DecayRates, eps: float, params: PhysicalParams, t,
-            geometry: CavityGeometry | None) -> ExpSum:
+            geometry: CavityGeometry | None,
+            along: Sequence[tuple[float, float, float]] | None = None) -> ExpSum:
     """The ground-state probability as an :class:`ExpSum`: two population
-    exponentials and the Rabi term, or the fallback spectrum."""
+    exponentials and the Rabi term, or the fallback spectrum.
+
+    For each direction (u1, u2, u3) in ``along``, the closed form also
+    carries the derivatives of c and z along u1 d/dgamma1 + u2 d/dgamma2 +
+    u3 d/dgamma3 under the thermal simplification; the fallback spectrum
+    carries none.
+    """
     decay = _population_decay(rates, eps)
     if decay is None:
         # 1 - Tr(P rho) with P = |e,0><e,0|, as Tr(A rho) = vec(A^T) . vec(rho)
@@ -441,7 +533,20 @@ def _pg_sum(rates: DecayRates, eps: float, params: PhysicalParams, t,
     gamma4 = (g1 + g2 + 2.0 * g3) / 4.0
     c = np.array([(base - s) / norm, -(base + s) / norm, -0.5])
     z = np.array([-kp, -km, complex(-gamma4, 2.0 * _phase_coupling(params, geometry))])
-    return ExpSum(opencavity_pg_asymptote(eps), c, z)
+    if along is None:
+        return ExpSum(opencavity_pg_asymptote(eps), c, z)
+    # S^2 = base^2 + (1 + 2 eps)(gamma1 - gamma2)^2.  At gamma1 = gamma2, base/S
+    # is +-1 exactly, so along u1 = u2 a coefficient that is 0 has dc = 0 too.
+    ratio, skew = base / s, (1.0 + 2.0 * eps) * (g1 - g2) / s
+    dc, dz = [], []
+    for u1, u2, u3 in along:
+        d_base = 2.0 * u3 - eps * (u1 + u2)
+        d_s = ratio * d_base + skew * (u1 - u2)
+        d_c = (d_base - ratio * d_s) / norm
+        d_total = u1 + u2 + 2.0 * u3 + eps * (u1 + u2)
+        dc.append((d_c, -d_c, 0.0))
+        dz.append((-(d_total + d_s) / 4.0, -(d_total - d_s) / 4.0, -(u1 + u2 + 2.0 * u3) / 4.0))
+    return ExpSum(opencavity_pg_asymptote(eps), c, z, dc, dz)
 
 
 def opencavity_pg(rates: DecayRates, eps: float, params: PhysicalParams,

@@ -91,7 +91,7 @@ def time_grid(t, name: str = "t") -> np.ndarray:
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if ts.ndim != 1:
         raise ValidationError(f"{name} must be a scalar or a 1-D array")
-    if not np.all(ts >= 0):   # a NaN fails too
+    if not (ts >= 0).all():   # a NaN fails too
         raise ValidationError(f"{name} must be >= 0")
     return ts
 

@@ -2,12 +2,24 @@
 
 The solver keeps the classic recipe: damped scaled normal equations with the
 damping factor multiplied by 10 whenever a step raises the cost and divided
-by 10 on acceptance, and a forward-difference Jacobian.  The normal matrix of
-the Jacobian with its columns scaled to unit norm is diagonalised once per
-Jacobian; the damped step for any damping factor, the gain the linear model
-predicts for it and the standard errors all come from that one ``eigh``.
+by 10 on acceptance.  The normal matrix of the Jacobian with its columns
+scaled to unit norm is diagonalised once per Jacobian; the damped step for
+any damping factor, the gain the linear model predicts for it and the
+standard errors all come from that one ``eigh``.
 
-The difference step of a parameter x is ``REL_STEP * max(|x|, s)`` with
+The Jacobian is exact when the problem supplies ``slopes``, as
+:func:`fit_rabi` and :func:`fit_q` do (MINPACK's ``lmder``): every
+evaluation returns the curve and its derivative columns from one
+closed-form pass (:meth:`rabicav.closed_form.ExpSum.slopes`), and an
+accepted trial's columns are the next Jacobian.  Forward differences are
+left for generic models and for the points where ``slopes`` has none: the
+open-cavity curve at a vanishing gap S, which comes from the fallback
+spectrum.  Under the thermal simplification S^2 = base^2 + (1 + 2 eps)
+(gamma1 - gamma2)^2, so p_g is symmetric in gamma1 and gamma2 and their
+exact columns coincide at gamma1 = gamma2: an untied fit with both free from
+equal starts stays on gamma1 = gamma2 and reports infinite errors for both.
+
+The forward-difference step of a parameter x is ``REL_STEP * max(|x|, s)`` with
 ``s = min(|x1|, 1)`` from the first value x1 of the parameter that is not
 zero: its start, or, for a zero start, the first value a step moves it to
 (``s = 1`` until then).  So a timing spread of 2.4e-6 s gets a step of
@@ -60,7 +72,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .core import ValidationError
-from .closed_form import energy_mean_asymptote
+from .closed_form import _pg_sum, energy_mean_asymptote
 from .dephase import convolve_pg
 from .evolve import CavityGeometry, true_time
 from .models import DecayRates, PhysicalParams
@@ -138,6 +150,11 @@ class FitProblem:
     names: tuple[str, ...]
     x0: Mapping[str, float]
     lower: Mapping[str, float] = field(default_factory=dict)
+    # slopes(params, t) -> (the model's values, a (len(names), len(t)) array of
+    # their derivatives, one row per free parameter in the order of names, or
+    # None where it has none); when set it replaces the model inside the fit
+    slopes: Callable[[Mapping[str, float], np.ndarray],
+                     tuple[np.ndarray, np.ndarray | None]] | None = None
 
     def __post_init__(self):
         if len(self.names) == 0:
@@ -174,26 +191,35 @@ class FitResult:
     degenerate: tuple[str, ...] = ()
 
 
-def _residuals(problem: FitProblem, x: np.ndarray) -> np.ndarray:
-    y = np.asarray(problem.model(dict(zip(problem.names, x.tolist())), problem.times),
-                   dtype=float)
-    r = y - problem.values
+def _residuals(problem: FitProblem, x: np.ndarray, slopes: bool = False):
+    """The weighted residuals at ``x`` and, with ``slopes``, their Jacobian from
+    the problem's ``slopes`` (None when it has none there)."""
+    p = dict(zip(problem.names, x.tolist()))
+    if slopes and problem.slopes is not None:
+        y, jac = problem.slopes(p, problem.times)
+    else:
+        y, jac = problem.model(p, problem.times), None
+    r = np.asarray(y, dtype=float) - problem.values
     if problem.sigma is not None:
         r /= problem.sigma
-    return r
+        if jac is not None:
+            jac = jac / problem.sigma
+    return r, (None if jac is None else jac.T)
 
 
-def _jacobian(problem: FitProblem, x: np.ndarray, r0: np.ndarray, floor: np.ndarray,
-              out: np.ndarray) -> None:
-    """Forward-difference Jacobian at ``x``, written column by column into ``out``."""
+def _jacobian(problem: FitProblem, x: np.ndarray, r0: np.ndarray,
+              floor: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian at ``x``, built column by column."""
+    out = np.empty((r0.size, x.size), order="F")
     shifted = x + REL_STEP * np.maximum(np.abs(x), floor)
     for j in range(x.size):
         p = x.copy()
         p[j] = shifted[j]
-        out[:, j] = _residuals(problem, p)
+        out[:, j] = _residuals(problem, p)[0]
     out -= r0[:, None]
     # divide by the steps actually applied, not the nominal ones
     out /= shifted - x
+    return out
 
 
 def _scaled_normal(jac: np.ndarray, held: np.ndarray | None = None):
@@ -228,10 +254,10 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
     # parameter large enough for REL_STEP * |x| to be a normal float
     unset = REL_STEP * np.abs(x) < _TINY
     floor = np.where(unset, 1.0, np.minimum(np.abs(x), 1.0))
-    r = _residuals(problem, x)
+    r, jac = _residuals(problem, x, True)
     cost = float(r @ r)
-    jac = np.empty((r.size, x.size), order="F")
-    _jacobian(problem, x, r, floor, jac)
+    if jac is None:
+        jac = _jacobian(problem, x, r, floor)
     if not jac.any():
         raise RankDeficiencyError(problem.names)
     norms, w, v = scaled = _scaled_normal(jac)
@@ -266,7 +292,7 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
         if (np.abs(trial - x) <= x_tol).all():
             converged = True
             break
-        r_trial = _residuals(problem, trial)
+        r_trial, jac_trial = _residuals(problem, trial, True)
         cost_trial = float(r_trial @ r_trial)
         # the linear model's gain on the unclamped step, -(2 g.step + |J step|^2):
         # a clamped step can point uphill without the fit having converged
@@ -285,7 +311,7 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
                 first = unset & (REL_STEP * np.abs(x) >= _TINY)
                 floor[first] = np.minimum(np.abs(x[first]), 1.0)
                 unset &= ~first
-            _jacobian(problem, x, r, floor, jac)
+            jac = jac_trial if jac_trial is not None else _jacobian(problem, x, r, floor)
             norms, w, v = scaled = _scaled_normal(jac)
             fresh = True
         elif at_floor:
@@ -369,14 +395,18 @@ def fit_q(times: np.ndarray, omega_bar: np.ndarray, eps: float,
     offset = energy_mean_asymptote(eps, params)
     amplitude = params.omega0 / (2.0 * eps + 1.0)
 
-    def model(p: Mapping[str, float], ts: np.ndarray) -> np.ndarray:
-        return offset + amplitude * np.exp(-params.omega0 * ts / p["q"])
+    def slopes(p: Mapping[str, float], ts: np.ndarray):
+        exponent = -params.omega0 * ts / p["q"]
+        decay = amplitude * np.exp(exponent)
+        # d/dq of exp(-omega0 t/q) is exp(-omega0 t/q) * omega0 t/q^2
+        return offset + decay, (decay * (-exponent / p["q"]))[None]
 
     # Decay-rate initial guess from the endpoint ratio.
     ratio = (y[-1] - offset) / (y[0] - offset)
     kappa0 = -math.log(max(ratio, 1e-12)) / (t[-1] - t[0])
     q0 = params.omega0 / max(kappa0, 1e-300)
-    problem = FitProblem(model, t, y, None, ("q",), {"q": q0}, {"q": 0.0})
+    problem = FitProblem(lambda p, ts: slopes(p, ts)[0], t, y, None, ("q",), {"q": q0},
+                         {"q": 0.0}, slopes)
     result = levenberg_marquardt(problem)
     if not result.converged:
         raise ValidationError("quality-factor fit did not converge")
@@ -402,15 +432,36 @@ class RabiFitConfig:
     def curve(self, values: Mapping[str, float], t, tie_gammas: bool = False) -> np.ndarray:
         """The model p_g at true times ``t``, with ``values`` in place of the
         fixed parameters they name (gamma2 follows gamma1 under ``tie_gammas``)."""
+        rates, delta_t = self._resolve(values, tie_gammas)
+        return np.asarray(convolve_pg(rates, self.eps, self.params, self.geom, delta_t, t))
+
+    def slopes(self, values: Mapping[str, float], t, tie_gammas: bool = False):
+        """:meth:`curve` and its derivatives with respect to the parameters
+        ``values`` names, one row each in that order, from the closed form;
+        the derivatives are None where the gap S vanishes (the fallback)."""
+        rates, delta_t = self._resolve(values, tie_gammas)
+        gammas = [n for n in values if n != "delta_t"]
+        # the chain rule: each free rate moves (gamma1, gamma2, gamma3) along a direction
+        along = [_RATE_ROWS[n] for n in gammas]
+        if tie_gammas:
+            along = [(u1, u1, u3) for u1, _, u3 in along]
+        curve = _pg_sum(rates, self.eps, self.params, t, self.geom, along)
+        y, columns = curve.slopes(delta_t, t, "delta_t" in values)
+        if columns is not None and "delta_t" in values:
+            # its column comes last
+            columns = columns[[gammas.index(n) if n != "delta_t" else -1 for n in values]]
+        return y, columns
+
+    def _resolve(self, values: Mapping[str, float], tie_gammas: bool):
         full = {"gamma1": self.gamma1, "gamma2": self.gamma2, "gamma3": self.gamma3,
                 "delta_t": self.delta_t, **values}
         if tie_gammas:
             full["gamma2"] = full["gamma1"]
         rates = DecayRates.simplified(full["gamma1"], full["gamma2"], full["gamma3"], self.eps)
-        return np.asarray(convolve_pg(rates, self.eps, self.params, self.geom,
-                                      full["delta_t"], t))
+        return rates, full["delta_t"]
 
 
+_RATE_ROWS = {"gamma1": (1.0, 0.0, 0.0), "gamma2": (0.0, 1.0, 0.0), "gamma3": (0.0, 0.0, 1.0)}
 _FREE_NAMES = ("gamma1", "gamma2", "gamma3", "delta_t")
 
 
@@ -437,5 +488,5 @@ def fit_rabi(series: ExperimentSeries, config: RabiFitConfig,
               else true_time(series.times, config.geom))
     problem = FitProblem(lambda p, ts: config.curve(p, ts, tie_gammas), t_true, series.p_g,
                          series.sigma, free, {n: getattr(config, n) for n in free},
-                         {n: 0.0 for n in free})
+                         {n: 0.0 for n in free}, lambda p, ts: config.slopes(p, ts, tie_gammas))
     return levenberg_marquardt(problem)
