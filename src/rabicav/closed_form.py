@@ -110,7 +110,8 @@ class ExpSum:
         ts = time_grid(t)
         out = np.full(ts.shape, self.const)
         if delta_t:
-            t_dt, t_2dt = ts / delta_t, ts / (2.0 * delta_t)
+            # (t/dt) * (-L/2) rounds as -(t/(2 dt)) * L: halving is exact
+            t_dt = ts / delta_t
         cs = live = self.c.tolist()
         if columns:
             weights, live = self._weights(delta_t, wrt_delta_t)
@@ -123,11 +124,11 @@ class ExpSum:
             if not delta_t:
                 mod, phase = np.exp(z.real * ts), (z.imag * ts if w else None)
             elif not w:
-                mod, phase = np.exp(-t_dt * math.log1p(a * delta_t)), None
+                mod, phase = np.exp(t_dt * -math.log1p(a * delta_t)), None
             else:
                 # log|1 - z dt|^2 and -arg(1 - z dt)
                 log_mod = math.log1p(2.0 * a * delta_t + (a * a + w * w) * delta_t * delta_t)
-                mod = np.exp(-t_2dt * log_mod)
+                mod = np.exp(t_dt * (-0.5 * log_mod))
                 phase = t_dt * math.atan2(w * delta_t, 1.0 + a * delta_t)
             if phase is not None:
                 cos = np.cos(phase)

@@ -591,7 +591,7 @@ def _slope_errors(params, geometry, rates3, eps, delta_t, tie, names):
     with mpmath.workdps(50):
         x = [mpmath.mpf(v) for v in (*rates3, delta_t)]
         for name, column in zip(names, columns):
-            i = _FREE_NAMES.index(name)
+            i = fitting._FREE_NAMES.index(name)
 
             def along(h, t):
                 p = list(x)
@@ -605,10 +605,7 @@ def _slope_errors(params, geometry, rates3, eps, delta_t, tie, names):
     return errors
 
 
-_FREE_NAMES = ("gamma1", "gamma2", "gamma3", "delta_t")
-
-
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(gamma1=_RATE, gamma2=_RATE, gamma3=_RATE, eps=st.floats(0.0, 1.0),
        delta_t=st.sampled_from([0.0, 1e-14, 2.37e-6]), tie=st.booleans())
 @example(gamma1=17.73, gamma2=17.73, gamma3=10335.8, eps=0.0466, delta_t=2.37e-6, tie=True)
