@@ -112,7 +112,8 @@ class ExpSum:
         if delta_t:
             # (t/dt) * (-L/2) rounds as -(t/(2 dt)) * L: halving is exact
             t_dt = ts / delta_t
-        cs = live = self.c.tolist()
+        cs = self.c.tolist()
+        live = cs   # a zero coefficient adds nothing to the values
         if columns:
             weights, live = self._weights(delta_t, wrt_delta_t)
             # Re and Im of each term's exponential, one row each
@@ -139,7 +140,8 @@ class ExpSum:
                 else:
                     np.multiply(mod, cos, out=parts[2 * k])
                     np.multiply(mod, sin, out=parts[2 * k + 1])
-            # in place, rounding as const + c*mod*cos, term by term
+            # in place, in the product order the curve digests pin:
+            # (c mod) cos, or mod (c.re cos - c.im sin)
             if phase is not None and c.imag:
                 cos *= c.real
                 sin *= c.imag

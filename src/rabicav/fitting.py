@@ -442,7 +442,7 @@ class RabiFitConfig:
         rates, delta_t = self._resolve(values, tie_gammas)
         gammas = [n for n in values if n != "delta_t"]
         # the chain rule: each free rate moves (gamma1, gamma2, gamma3) along a direction
-        along = [_RATE_ROWS[n] for n in gammas]
+        along = [_RATE_DIRECTIONS[n] for n in gammas]
         if tie_gammas:
             along = [(u1, u1, u3) for u1, _, u3 in along]
         curve = _pg_sum(rates, self.eps, self.params, t, self.geom, along)
@@ -461,7 +461,8 @@ class RabiFitConfig:
         return rates, full["delta_t"]
 
 
-_RATE_ROWS = {"gamma1": (1.0, 0.0, 0.0), "gamma2": (0.0, 1.0, 0.0), "gamma3": (0.0, 0.0, 1.0)}
+_RATE_DIRECTIONS = {"gamma1": (1.0, 0.0, 0.0), "gamma2": (0.0, 1.0, 0.0),
+                    "gamma3": (0.0, 0.0, 1.0)}
 _FREE_NAMES = ("gamma1", "gamma2", "gamma3", "delta_t")
 
 
