@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import closed_form as cf, dephase, entangle, evolve, fitting, models
-from .core import BLOCK, Basis, ValidationError, blocks
+from .core import BLOCK, Basis, ValidationError, blocks, can_fork, fork_call
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -184,23 +184,11 @@ def fmt(value) -> str:
     return str(value)
 
 
-_COPY_CHUNK = 1 << 16      # characters per read when appending the worker's text
-_WORKER_FAILED = 255       # the worker's exit code for a failure that is no OSError
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _worker_start(n: int) -> int:
     """The first of ``n`` rows a forked worker formats: the block boundary
-    nearest the middle, or ``n`` (no worker) for at most one block, no
-    ``os.fork`` or a single CPU."""
-    if n <= BLOCK or not hasattr(os, "fork") or _cpus() < 2:
+    nearest the middle, or ``n`` (no worker) for at most one block or when
+    :func:`~rabicav.core.can_fork` is false."""
+    if n <= BLOCK or not can_fork():
         return n
     return BLOCK * round(n / (2 * BLOCK))   # n > BLOCK: at least one block
 
@@ -216,48 +204,22 @@ def _write_blocks(fh, lines: list[str], rows: np.ndarray) -> None:
 
 def _write_table(fh, header: list[str], rows: np.ndarray) -> None:
     """Write the CSV text of ``rows`` to ``fh``: the rows from
-    :func:`_worker_start` on are formatted by a forked worker into a temporary
-    file, at the same time as this process formats the rows before them, and
-    appended after those.  The worker is reaped on every exit path; its
-    failure raises OSError."""
+    :func:`_worker_start` on are formatted by a worker
+    (:func:`~rabicav.core.fork_call`) into a temporary file, at the same time
+    as this process formats the rows before them, and appended after those."""
     start = _worker_start(len(rows))
     if start == len(rows):
         _write_blocks(fh, [",".join(header)], rows)
         return
-    import signal, tempfile, warnings
+    import shutil, tempfile
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as tmp:
-        # Python >= 3.12 warns on fork while another OS thread runs, here
-        # numpy's BLAS pool; the worker makes no BLAS call, only repr and writes
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                    DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:   # the worker: it leaves through os._exit only
-            code = _WORKER_FAILED
-            try:
-                _write_blocks(tmp, [], rows[start:])
-                tmp.flush()
-                code = 0
-            except OSError as exc:
-                if exc.errno and exc.errno < _WORKER_FAILED:
-                    code = exc.errno
-            finally:
-                os._exit(code)
-        try:
-            _write_blocks(fh, [",".join(header)], rows[:start])
-            _, status = os.waitpid(pid, 0)
-            pid = 0
-            code = os.waitstatus_to_exitcode(status)
-            if code:
-                raise OSError(code, os.strerror(code) if 0 < code < _WORKER_FAILED
-                              else f"the formatting worker ended with status {code}")
-            tmp.seek(0)
-            while chunk := tmp.read(_COPY_CHUNK):
-                fh.write(chunk)
-        finally:
-            if pid:   # an error or an interrupt came before the worker was reaped
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        def worker():
+            _write_blocks(tmp, [], rows[start:])
+            tmp.flush()
+
+        fork_call(worker, lambda: _write_blocks(fh, [",".join(header)], rows[:start]))
+        tmp.seek(0)
+        shutil.copyfileobj(tmp, fh)
 
 
 def write_csv(path: str | None, header: list[str], rows: np.ndarray) -> None:
@@ -270,8 +232,9 @@ def write_csv(path: str | None, header: list[str], rows: np.ndarray) -> None:
     more than one block is formatted on two CPUs when there are two: a forked
     worker formats the second half while this process formats the first, and
     the same block formatter gives the same bytes as one process would.  A
-    path that cannot be written, or a worker that fails, raises ConfigError
-    (exit 2) and leaves no partial file, even after earlier blocks went out.
+    path that cannot be written raises ConfigError (exit 2) and leaves no
+    partial file, even after earlier blocks went out; so does a worker's
+    failure to write, which is raised here as this process's own.
     A closed stdout raises BrokenPipeError for :func:`main` to end quietly.
     """
     rows = np.asarray(rows, dtype=float)

@@ -105,6 +105,9 @@ class StepUnderflowError(RuntimeError):
         super().__init__(f"step size underflow at t = {time:.6e} s")
         self.time = time
 
+    def __reduce__(self):   # rebuilt from the time, not from the message
+        return type(self), (self.time,), self.__dict__
+
 
 # The Dormand-Prince 5(4) pair on the linear y' = L y: a step of size h maps y
 # to R(hL) y and estimates its error as E(hL) y, where R and E are the

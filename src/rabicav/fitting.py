@@ -138,6 +138,9 @@ class RankDeficiencyError(ValidationError):
         super().__init__("model is insensitive to parameter(s): " + ", ".join(names))
         self.names = list(names)
 
+    def __reduce__(self):   # rebuilt from the names, not from the message
+        return type(self), (self.names,), self.__dict__
+
 
 @dataclass(frozen=True, eq=False)
 class FitProblem:

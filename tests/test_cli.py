@@ -1,12 +1,17 @@
 import argparse
 import dataclasses
 import errno
+import importlib
+import inspect
 import io
 import json
 import os
+import pickle
+import pkgutil
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 
@@ -15,7 +20,7 @@ import pytest
 
 import rabicav
 from rabicav import closed_form as cf
-from rabicav import cli, dephase, entangle, evolve, fitting, models
+from rabicav import acceptance, cli, core, dephase, entangle, evolve, fitting, models
 from rabicav.core import BLOCK
 
 
@@ -25,8 +30,8 @@ def run_cli(*argv):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the CSV workers forked during the test, on two CPUs
-    whatever the host has."""
+    """The pids of the workers forked during the test, on two CPUs whatever
+    the host has."""
     pids = []
     fork = os.fork
 
@@ -268,6 +273,121 @@ def test_write_csv_memory_does_not_grow_with_the_table(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 4e6   # the whole text and its row strings took 41.5 MB
+
+
+class Unloadable(Exception):
+    """Pickles by its message alone, which its constructor cannot take back."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def _raise_unloadable():
+    raise Unloadable("x", "y")
+
+
+# One sample per exception class the package defines.
+_EXCEPTIONS = [
+    core.ValidationError("matrix entries must be finite"),
+    cli.ConfigError("unknown config field 'x'"),
+    cf.DegenerateModelError("S vanishes"),
+    evolve.StepUnderflowError(1.5e-6),
+    fitting.RankDeficiencyError(["gamma1", "gamma3"]),
+]
+
+
+def test_every_package_exception_survives_pickling():
+    modules = [importlib.import_module(f"rabicav.{m.name}")
+               for m in pkgutil.iter_modules(rabicav.__path__)]
+    defined = {obj for mod in modules for obj in vars(mod).values()
+               if inspect.isclass(obj) and issubclass(obj, BaseException)
+               and obj.__module__.startswith("rabicav.")}
+    assert defined == {type(exc) for exc in _EXCEPTIONS}
+    for exc in _EXCEPTIONS:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and str(back) == str(exc)
+        assert back.args == exc.args and vars(back) == vars(exc)
+
+
+@pytest.mark.parametrize("exc", [*_EXCEPTIONS, OSError(errno.ENOSPC, "No space left on device")],
+                         ids=lambda exc: type(exc).__name__)
+def test_worker_exception_is_raised_in_the_parent(forks, exc):
+    def worker():
+        raise exc
+
+    with pytest.raises(type(exc)) as raised:
+        core.fork_call(worker, lambda: None)
+    assert str(raised.value) == str(exc) and vars(raised.value) == vars(exc)
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("worker, error, message", [
+    (_raise_unloadable, RuntimeError, "Unloadable: x/y"),
+    (lambda: lambda: None, RuntimeError, "Can't pickle"),
+    (lambda: os._exit(3), ChildProcessError, "status 3 before it replied"),
+], ids=["unloadable-exception", "unpicklable-result", "no-reply"])
+def test_worker_without_a_usable_reply(forks, worker, error, message):
+    with pytest.raises(error, match=message):
+        core.fork_call(worker, lambda: None)
+    assert_reaped(forks)
+
+
+def _stub(number, raises=None):
+    def check():
+        if raises is not None:
+            raise raises
+        return acceptance.CriterionResult(number, f"stub {number}", True, "ok")
+    return check
+
+
+def _one_cpu(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def test_run_all_is_the_same_on_two_cpus_and_one(monkeypatch, forks):
+    two = acceptance.run_all()
+    assert len(forks) == 1
+    assert_reaped(forks)
+    _one_cpu(monkeypatch)
+    assert acceptance.run_all() == two
+    assert [r.number for r in two] == list(range(1, 15)) and all(r.passed for r in two)
+
+
+@pytest.mark.parametrize("exc", [core.ValidationError("criterion 2 broke"),
+                                 evolve.StepUnderflowError(2e-6)],
+                         ids=lambda exc: type(exc).__name__)
+def test_failing_worker_criterion_fails_verify_as_one_process(monkeypatch, capsys, forks, exc):
+    checks = (_stub(1), _stub(2, exc), _stub(3))
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", checks)
+    monkeypatch.setattr(acceptance, "_WORKER_CRITERIA", checks[1:2])
+
+    def outcome():
+        try:
+            return run_cli("verify"), capsys.readouterr()
+        except Exception as raised:
+            return type(raised), str(raised), vars(raised)
+
+    two = outcome()
+    assert_reaped(forks)
+    _one_cpu(monkeypatch)
+    assert outcome() == two
+    if isinstance(exc, core.ValidationError):
+        assert two[0] == cli.EXIT_VALIDATION and two[1].err == "error: criterion 2 broke\n"
+    else:
+        assert two == (type(exc), str(exc), vars(exc))
+
+
+def test_interrupt_in_the_parent_reaps_the_worker(monkeypatch, forks):
+    checks = (_stub(1, KeyboardInterrupt()), _stub(2))
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", checks)
+    monkeypatch.setattr(acceptance, "_WORKER_CRITERIA", (lambda: time.sleep(60),))
+    with pytest.raises(KeyboardInterrupt):
+        acceptance.run_all()
+    assert_reaped(forks)
 
 
 # `rabicav energy ... | head -1`: the reader leaves after one line; the
