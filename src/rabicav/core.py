@@ -104,7 +104,7 @@ def fork_call(worker, here) -> tuple:
     if not can_fork():
         mine = here()
         return worker(), mine
-    import pickle, signal, traceback, warnings
+    import pickle, signal, warnings
     read, write = os.pipe()
     # Python >= 3.12 warns on fork while another OS thread runs, here numpy's
     # BLAS pool; OpenBLAS stops its pool before a fork and each process
@@ -116,6 +116,7 @@ def fork_call(worker, here) -> tuple:
     if pid == 0:   # the worker: it leaves through os._exit only, so no buffer,
         code = 1   # handler or finally of this process runs a second time
         try:
+            import traceback
             os.close(read)
             try:
                 trace, value = None, worker()

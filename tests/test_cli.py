@@ -309,18 +309,6 @@ def test_every_package_exception_survives_pickling():
         assert back.args == exc.args and vars(back) == vars(exc)
 
 
-@pytest.mark.parametrize("exc", [*_EXCEPTIONS, OSError(errno.ENOSPC, "No space left on device")],
-                         ids=lambda exc: type(exc).__name__)
-def test_worker_exception_is_raised_in_the_parent(forks, exc):
-    def worker():
-        raise exc
-
-    with pytest.raises(type(exc)) as raised:
-        core.fork_call(worker, lambda: None)
-    assert str(raised.value) == str(exc) and vars(raised.value) == vars(exc)
-    assert_reaped(forks)
-
-
 @pytest.mark.parametrize("worker, error, message", [
     (_raise_unloadable, RuntimeError, "Unloadable: x/y"),
     (lambda: lambda: None, RuntimeError, "Can't pickle"),
@@ -385,8 +373,10 @@ def test_interrupt_in_the_parent_reaps_the_worker(monkeypatch, forks):
     checks = (_stub(1, KeyboardInterrupt()), _stub(2))
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", checks)
     monkeypatch.setattr(acceptance, "_WORKER_CRITERIA", (lambda: time.sleep(60),))
+    start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         acceptance.run_all()
+    assert time.perf_counter() - start < 30   # killed, not waited for
     assert_reaped(forks)
 
 
