@@ -116,15 +116,16 @@ def fork_call(worker, here) -> tuple:
     if pid == 0:   # the worker: it leaves through os._exit only, so no buffer,
         code = 1   # handler or finally of this process runs a second time
         try:
-            import traceback
             os.close(read)
             try:
                 trace, value = None, worker()
             except BaseException as exc:   # raised again by the parent
+                import traceback
                 trace, value = traceback.format_exc(), exc
             try:
                 value = pickle.dumps(value)
             except Exception:
+                import traceback
                 trace, value = trace or traceback.format_exc(), None
             with open(write, "wb") as pipe:
                 pickle.dump((trace, value), pipe)
