@@ -21,7 +21,7 @@ from .closed_form import (
 )
 from .evolve import (
     CavityGeometry, StepUnderflowError, Trajectory, effective_time,
-    gaussian_coupling, integrate, nstep_propagate, true_time,
+    gaussian_coupling, integrate, integrate_stack, nstep_propagate, true_time,
 )
 from .dephase import convolve_energy, convolve_pg, gamma_kernel
 from .davies import DaviesOperator, SpectralWeights, assemble_generator, davies_decompose

@@ -5,13 +5,12 @@ asserts on them and the ``verify`` CLI command prints the table.  Reference
 numbers are pinned here at their stated tolerances, nothing is recalibrated
 at run time.
 
-When two CPUs are available, :func:`run_all` runs criteria 8 and 9 in a
-forked worker while this process runs the other twelve.  Criteria 7 and 14
-read the same four RK runs (``_oracle_runs``, cached per process), so they
-stay in one process.  Measured on a 2-CPU machine, 7 takes about 0.3 s and 8
-about 0.32 s, each alone; 9, 10 and the rest add about 0.15 s, and sending 9
-with 8 gave the shortest ``run_all`` (median 0.45 s over 20 runs, against
-0.53 s with 8 alone, 0.52 s with 7 and 14, and 0.81 s in one process).
+Every criterion runs in this process, one after another.  Criteria 7 and 14
+read the same four RK runs (``_oracle_runs``, cached per process), which
+advance together under one step-size controller.  Measured on one CPU with
+one BLAS thread (medians of 10 processes), 7 takes 0.08 s, 10 0.06 s, 9
+0.02 s and 8 0.008 s (its open-cavity products collapse to one propagator
+each); all fourteen take 0.19 s.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import closed_form as cf
 from . import davies, dephase, entangle, evolve, fitting, models
-from .core import VALIDATION_TOL, Basis, fork_call, hermiticity_defect, partial_transpose
+from .core import VALIDATION_TOL, Basis, hermiticity_defect, partial_transpose
 
 EPS_PAPER = 0.0466
 GAMMA12_PAPER = 17.73
@@ -74,35 +73,23 @@ def _oracle_runs():
     p = paper_params()
     g = p.g
     ts = _oracle_grid()
-    runs = {}
-
-    kind = models.PhenomT0(0.3 * g)
-    liou = models.build_liouvillian(kind, p)
-    rho0 = cf.initial_excited_state(Basis.BARE)
-    traj = evolve.integrate(liou, rho0, ts[-1], t_eval=ts)
-    closed = 1.0 - cf.phenom_T0_rho(g, kind.gamma, ts).matrix[:, 0, 0].real
-    runs["phenom-t0"] = (closed, traj.ground_state_probability(), traj)
-
-    kind = models.PhenomT.from_temperature(0.3 * g, p)
-    liou = models.build_liouvillian(kind, p)
-    traj = evolve.integrate(liou, rho0, ts[-1], t_eval=ts)
-    ref = evolve.nstep_propagate(kind, p, None, rho0, ts, 1)
-    runs["phenom-t"] = (models.ground_state_probability(ref),
-                        traj.ground_state_probability(), traj)
-
-    kind = models.Microscopic(0.1 * g, 0.05 * g)
-    liou = models.build_liouvillian(kind, p)
-    rho0d = cf.initial_excited_state(Basis.DRESSED)
-    traj = evolve.integrate(liou, rho0d, ts[-1], t_eval=ts)
-    closed = cf.microscopic_pg(g, kind.gamma1, kind.gamma2, ts)
-    runs["microscopic"] = (closed, traj.ground_state_probability(), traj)
-
     rates = paper_rates(p)
-    liou = models.build_liouvillian(models.OpenCavity(rates), p)
-    traj = evolve.integrate(liou, rho0d, ts[-1], t_eval=ts)
-    closed = cf.opencavity_pg(rates, EPS_PAPER, p, ts)
-    runs["open-cavity"] = (closed, traj.ground_state_probability(), traj)
-    return runs
+    bare, dressed = (cf.initial_excited_state(b) for b in (Basis.BARE, Basis.DRESSED))
+    t0, micro = models.PhenomT0(0.3 * g), models.Microscopic(0.1 * g, 0.05 * g)
+    tk = models.PhenomT.from_temperature(0.3 * g, p)
+    exact = evolve.nstep_propagate(tk, p, None, bare, ts, 1)
+    problems = {   # name: (model, initial state, reference ground-state probability)
+        "phenom-t0": (t0, bare, 1.0 - cf.phenom_T0_rho(g, t0.gamma, ts).matrix[:, 0, 0].real),
+        "phenom-t": (tk, bare, models.ground_state_probability(exact)),
+        "microscopic": (micro, dressed, cf.microscopic_pg(g, micro.gamma1, micro.gamma2, ts)),
+        "open-cavity": (models.OpenCavity(rates), dressed,
+                        cf.opencavity_pg(rates, EPS_PAPER, p, ts)),
+    }
+    trajs = evolve.integrate_stack(
+        [models.build_liouvillian(kind, p) for kind, _, _ in problems.values()],
+        [rho0 for _, rho0, _ in problems.values()], ts[-1], t_eval=ts)
+    return {name: (ref, traj.ground_state_probability(), traj)
+            for (name, (_, _, ref)), traj in zip(problems.items(), trajs)}
 
 
 def criterion_1_kms_factor() -> CriterionResult:
@@ -394,20 +381,6 @@ ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
 )
 
 
-# Run by a forked worker while this process runs the rest (the module
-# docstring gives the measurements behind the choice).
-_WORKER_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
-    criterion_8_nstep_convergence,
-    criterion_9_convolution,
-)
-
-
 def run_all() -> list[CriterionResult]:
-    """Every criterion's result, in :data:`ALL_CRITERIA` order; the criteria
-    of :data:`_WORKER_CRITERIA` run in a forked worker meanwhile when
-    :func:`~rabicav.core.can_fork` is true."""
-    local = tuple(check for check in ALL_CRITERIA if check not in _WORKER_CRITERIA)
-    theirs, mine = fork_call(lambda: [check() for check in _WORKER_CRITERIA],
-                             lambda: [check() for check in local])
-    done = dict(zip(_WORKER_CRITERIA + local, theirs + mine))
-    return [done[check] for check in ALL_CRITERIA]
+    """Every criterion's result, in :data:`ALL_CRITERIA` order."""
+    return [check() for check in ALL_CRITERIA]

@@ -5,9 +5,9 @@ the initial state's invariant block (:func:`nstep_propagate` at n = 1, the
 open-cavity fallback).  The n-step product carries the state in
 eigen-coordinates, one link V_{j+1}^-1 V_j between consecutive factors, and
 builds links and exponentials in chunks of bounded size; at n = 1 it is the
-exact propagator, operation for operation.  The embedded Dormand-Prince 5(4)
-pair, each step one stacked polynomial product in L, is the oracle the
-acceptance suite checks them against.
+exact propagator, operation for operation, and so is a product of commuting
+factors.  The embedded Dormand-Prince 5(4) pair, which steps a stack of
+problems together, is the oracle the acceptance suite checks them against.
 """
 
 from __future__ import annotations
@@ -123,51 +123,66 @@ _POWERS = np.arange(float(_R.size))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 5.0
 
 
-# A step that overflows is rejected through its non-finite error norm.
-@np.errstate(over="ignore", invalid="ignore")
 def integrate(liouvillian: Liouvillian, rho0: DensityMatrix, t_end: float, *,
               t_eval: Sequence[float] | None = None,
               rtol: float = 1e-10, atol: float = 1e-12) -> Trajectory:
-    """Propagate ``rho0`` to ``t_end`` under the fixed generator ``liouvillian``
-    with an embedded 5(4) pair.
+    """:func:`integrate_stack` of the one problem ``rho0`` under ``liouvillian``."""
+    return integrate_stack([liouvillian], [rho0], t_end, t_eval=t_eval,
+                           rtol=rtol, atol=atol)[0]
 
-    States are recorded at the strictly increasing times in ``t_eval``
-    (default: just t_end).  The recorded states form one stack, held to the
-    trajectory drift budget when the run ends; a failure names the first bad
-    state (``state i: ...``).
+
+# A step that overflows is rejected through its non-finite error norm.
+@np.errstate(over="ignore", invalid="ignore")
+def integrate_stack(liouvillians: Sequence[Liouvillian], rho0s: Sequence[DensityMatrix],
+                    t_end: float, *, t_eval: Sequence[float] | None = None,
+                    rtol: float = 1e-10, atol: float = 1e-12) -> list[Trajectory]:
+    """Propagate each ``rho0s[i]`` to ``t_end`` under the fixed generator
+    ``liouvillians[i]`` with an embedded 5(4) pair; one trajectory each.
+
+    Every problem takes the same steps: a step's error norm is its largest
+    over the stack, and a stack of one steps as that problem alone.  States
+    are recorded at the strictly increasing times in ``t_eval`` (default:
+    just t_end).  Each trajectory's states form one stack, held to the drift
+    budget when the run ends; a failure names the first bad state (``state i: ...``).
     """
     if not 0.0 <= t_end < math.inf:
         raise ValidationError("t_end must be finite and >= 0")
-    mat, basis = liouvillian.matrix, liouvillian.basis
-    if rho0.basis is not basis:
-        raise ValidationError(f"rho0 basis {rho0.basis} does not match generator basis {basis}")
+    if not 0 < len(rho0s) == len(liouvillians):
+        raise ValidationError("the stack needs one initial state per generator")
+    for liou, rho0 in zip(liouvillians, rho0s):
+        if rho0.basis is not liou.basis:
+            raise ValidationError(f"rho0 basis {rho0.basis} does not match generator "
+                                  f"basis {liou.basis}")
     t_eval = time_grid([t_end] if t_eval is None else t_eval, "t_eval")
     if np.any(np.diff(t_eval) <= 0) or (t_eval.size and t_eval[-1] > t_end * (1 + 1e-12) + 1e-300):
         raise ValidationError("t_eval must be increasing and within [0, t_end]")
 
-    # Recorded vectors; the trajectory validates them as one stack at the end.
+    # Recorded (problem, vec) arrays; each trajectory validates its states as one stack.
     recorded: list[np.ndarray] = []
 
-    def trajectory() -> Trajectory:
-        return Trajectory(t_eval, DensityMatrix(unvec(np.reshape(recorded, (-1, 9))), basis))
+    def trajectories() -> list[Trajectory]:
+        stack = np.reshape(recorded, (-1, len(rho0s), 9))
+        return [Trajectory(t_eval, DensityMatrix(unvec(stack[:, i]), liou.basis))
+                for i, liou in enumerate(liouvillians)]
 
     t = 0.0
-    y = vec(rho0.matrix)
+    y = np.array([vec(rho0.matrix) for rho0 in rho0s])
     targets = list(t_eval)
     if targets and targets[0] == 0.0:
         recorded.append(y)
         targets.pop(0)
 
     if not targets:
-        return trajectory()
+        return trajectories()
 
-    # k = [L^m y], m = 0..7, the terms of both polynomials; a rejected step reuses it.
-    pows = np.array([np.linalg.matrix_power(mat, m) for m in range(_R.size)])
-    k = pows @ y
+    # k[i] = [L_i^m y_i], m = 0..7, the terms of both polynomials; a rejected step reuses it.
+    pows = np.array([[np.linalg.matrix_power(liou.matrix, m) for m in range(_R.size)]
+                     for liou in liouvillians])
+    k = (pows @ y[:, None, :, None])[..., 0]
     abs_y = np.abs(y)
     # Initial step guess from the scaled sizes of y and f.
     d0 = float(abs_y.max()) or 1.0
-    d1 = float(np.abs(k[1]).max())
+    d1 = float(np.abs(k[:, 1]).max())
     h = min(targets[-1] - t, 0.01 * d0 / d1 if d1 > 0 else targets[-1])
     h_min_floor = 1e-15
 
@@ -176,7 +191,8 @@ def integrate(liouvillian: Liouvillian, rho0: DensityMatrix, t_end: float, *,
         h = min(h, t_next_out - t)
         if h < h_min_floor * max(t, t_next_out, 1e-30):
             raise StepUnderflowError(t)
-        y_new, err = (_RE * h ** _POWERS) @ k
+        step = (_RE * h ** _POWERS) @ k
+        y_new, err = step[:, 0], step[:, 1]
         abs_new = np.abs(y_new)
         norm = (np.abs(err) / (atol + rtol * np.maximum(abs_y, abs_new))).max()
         if not np.isfinite(norm):
@@ -184,7 +200,7 @@ def integrate(liouvillian: Liouvillian, rho0: DensityMatrix, t_end: float, *,
         if norm <= 1.0:
             t = t + h
             y, abs_y = y_new, abs_new
-            k = pows @ y
+            k = (pows @ y[:, None, :, None])[..., 0]
             if t >= t_next_out - 1e-15 * max(1.0, abs(t_next_out)):
                 recorded.append(y)
                 targets.pop(0)
@@ -193,7 +209,7 @@ def integrate(liouvillian: Liouvillian, rho0: DensityMatrix, t_end: float, *,
         else:
             h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
 
-    return trajectory()
+    return trajectories()
 
 
 def _coupling_family(kind: ModelKind, params: PhysicalParams):
@@ -261,6 +277,9 @@ def nstep_propagate(kind: ModelKind, params: PhysicalParams,
     (j + 1/2)/n of the crossing (constant with ``geom`` absent, where n = 1
     is the exact propagator), the same for every t, so each distinct
     generator is eigen-decomposed once, L(g_j) = V_j diag(lambda_j) V_j^-1.
+    When L0 and L1 of L(g) = L0 + g*L1 commute exactly (open-cavity and
+    microscopic; never the phenomenological models), the product is the
+    n = 1 propagator of that family at the mean coupling fsum(g_j)/n.
 
     The state rides in eigen-coordinates, z = V_0^-1 x: factor j maps z to
     C_j (E_j z) with E_j = e^{lambda_j t/n} and the link C_j = V_{j+1}^-1 V_j,
@@ -277,8 +296,11 @@ def nstep_propagate(kind: ModelKind, params: PhysicalParams,
         raise ValidationError("n must be a positive integer")
     ts = time_grid(t)
     gs = np.full(n, params.g) if geom is None else _midpoint_couplings(params.g, geom, n)
-    unique_gs, order = np.unique(gs, return_inverse=True)   # a constant profile has one
     block, l0, slope = _block_family(kind, params, rho0)
+    if np.ptp(gs) > 0 and np.array_equal(l0 @ slope, slope @ l0):
+        # a constant profile keeps g itself: fsum(n*g)/n can be one ulp off it
+        gs, n = np.array([math.fsum(gs.tolist()) / n]), 1
+    unique_gs, order = np.unique(gs, return_inverse=True)   # a constant profile has one
     k, u = block.size, unique_gs.size
     lam = np.empty((u, k), dtype=complex)
     vmat = np.empty((u, k, k), dtype=complex)

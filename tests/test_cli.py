@@ -320,63 +320,15 @@ def test_worker_without_a_usable_reply(forks, worker, error, message):
     assert_reaped(forks)
 
 
-def _stub(number, raises=None):
-    def check():
-        if raises is not None:
-            raise raises
-        return acceptance.CriterionResult(number, f"stub {number}", True, "ok")
-    return check
+def test_interrupt_in_the_parent_reaps_the_worker(forks):
+    def interrupted():
+        raise KeyboardInterrupt
 
-
-def _one_cpu(monkeypatch):
-    def no_fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-
-
-def test_run_all_is_the_same_on_two_cpus_and_one(monkeypatch, forks):
-    two = acceptance.run_all()
-    assert len(forks) == 1
-    assert_reaped(forks)
-    _one_cpu(monkeypatch)
-    assert acceptance.run_all() == two
-    assert [r.number for r in two] == list(range(1, 15)) and all(r.passed for r in two)
-
-
-@pytest.mark.parametrize("exc", [core.ValidationError("criterion 2 broke"),
-                                 evolve.StepUnderflowError(2e-6)],
-                         ids=lambda exc: type(exc).__name__)
-def test_failing_worker_criterion_fails_verify_as_one_process(monkeypatch, capsys, forks, exc):
-    checks = (_stub(1), _stub(2, exc), _stub(3))
-    monkeypatch.setattr(acceptance, "ALL_CRITERIA", checks)
-    monkeypatch.setattr(acceptance, "_WORKER_CRITERIA", checks[1:2])
-
-    def outcome():
-        try:
-            return run_cli("verify"), capsys.readouterr()
-        except Exception as raised:
-            return type(raised), str(raised), vars(raised)
-
-    two = outcome()
-    assert_reaped(forks)
-    _one_cpu(monkeypatch)
-    assert outcome() == two
-    if isinstance(exc, core.ValidationError):
-        assert two[0] == cli.EXIT_VALIDATION and two[1].err == "error: criterion 2 broke\n"
-    else:
-        assert two == (type(exc), str(exc), vars(exc))
-
-
-def test_interrupt_in_the_parent_reaps_the_worker(monkeypatch, forks):
-    checks = (_stub(1, KeyboardInterrupt()), _stub(2))
-    monkeypatch.setattr(acceptance, "ALL_CRITERIA", checks)
-    monkeypatch.setattr(acceptance, "_WORKER_CRITERIA", (lambda: time.sleep(60),))
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        acceptance.run_all()
+        core.fork_call(lambda: time.sleep(60), interrupted)
     assert time.perf_counter() - start < 30   # killed, not waited for
+    assert len(forks) == 1
     assert_reaped(forks)
 
 
