@@ -1,8 +1,9 @@
 """Byte-identity of the CLI's CSV output.
 
-Most cases run on small grids of one block; ``energy-multi-block`` writes
-12 001 rows, three blocks of :data:`~rabicav.core.BLOCK` rows with a partial
-last one, so the joins between blocks are pinned too.  Each digest is the
+Most cases run on small grids of one block.  The ``-multi-block`` cases
+span two or three blocks of :data:`~rabicav.core.BLOCK` rows with a partial
+last one (12 001 rows; 6001 per value for the sweep; 4301 for the n-step
+product), so the joins between blocks are pinned too.  Each digest is the
 sha256 of a CSV the current producers write, and
 :func:`test_exact_rows_match_block_expm` checks the values of every case
 but the two ``energy`` ones against scipy's expm of the invariant block of
@@ -45,6 +46,16 @@ CASES = {
         "3be5c91a83e6c3d16dddaff5b82b1d0f108a042cdc08adacc79c7d15c3d56eb0"),
     "sweep": (("simulate", "--sweep", "gamma3=2000:20000:3", "--end-us", "60", "--step-us", "1"),
               "10a16af7bb68c173bdb317bbdbaef8e5d9bd445a20ac939e981800c304f7604d"),
+    "simulate-gaussian-spread-multi-block": (
+        ("simulate", "--profile", "gaussian", "--delta-t-us", "2.37",
+         "--end-us", "60", "--step-us", "0.005"),
+        "e1a3d8a87e5e75ed4a570d2a5094099012c9aa739dcac1df7647fb13570d0ac0"),
+    "entangle-multi-block": (
+        ("entangle", "--end-us", "60", "--step-us", "0.005"),
+        "0f946157438bcd74986123d42b1d908b41c6c8b2f3b69e247ccc4b214a1b75ff"),
+    "sweep-multi-block": (
+        ("simulate", "--sweep", "gamma3=2000:20000:3", "--end-us", "60", "--step-us", "0.01"),
+        "e124f0c6400de65dca86b45989ff02f4c1f6b2f543ec6375fdb70295df508e94"),
     "phenom-t0": (("simulate", "--model", "phenom-t0", *_GRID),
                   "5826a08bf7e330838d32747bcaa53fd5ec313b54b49620676953bd33c7a47334"),
     "phenom-t0-hyperbolic": (
@@ -55,6 +66,9 @@ CASES = {
     "microscopic-gaussian": (
         ("simulate", "--model", "microscopic", "--profile", "gaussian", *_GRID),
         "9a6fc27258b9ed04d450f3bb5800de4cdc500c915a8f7364c1d79cd67b241ca1"),
+    "phenom-t0-gaussian-multi-block": (
+        ("simulate", "--model", "phenom-t0", "--profile", "gaussian", "--step-us", "0.1"),
+        "747f709d2d71dc41be462e87466a57d5043d879a07252e50a97b51b58f1a1690"),
     "phenom-t": (("simulate", "--model", "phenom-t", *_GRID),
                  "c8d00b5759497ef0b61384ce548716b5b55db2b98d46ec9d1c360da2079cd8be"),
     "degenerate": (("simulate", *_DEGENERATE, *_GRID),
