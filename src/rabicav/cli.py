@@ -327,28 +327,50 @@ def parse_sweep(spec: str | None):
 
 
 def _sweep_rows(config: RunConfig, sweep, worker) -> tuple[list[str], np.ndarray]:
-    """Run ``worker(config) -> (header, rows)`` over the sweep values in order."""
-    if sweep is None:
-        return worker(config)
-    name, values = sweep
-    tables = []
-    for v in values:
-        header, rows = worker(replace(config, **{name: float(v)}))
-        tables.append(np.column_stack([np.full(len(rows), v), rows]))
-    return ["sweep_" + name] + header, np.vstack(tables)
+    """The header and the one float table of ``worker`` over the grid, run
+    for each sweep value in order, with the value in a first column.
+
+    ``worker(config, ts_us) -> (header, rows)`` is given the grid from some
+    row to its end and returns the rows of its first times: one block of
+    :data:`~rabicav.core.BLOCK`, or all of them where the values depend on
+    how many times it is given.  Each block goes into the table as it comes,
+    so memory is the table plus one block's states.  A failing state is
+    named by its index in the grid, however many blocks came before it.
+    """
+    grid = config.grid_us()
+    name, values = sweep or (None, [None])
+    first = int(name is not None)   # the column of the sweep value
+    n, table = len(grid), None
+    for k, value in enumerate(values):
+        swept = replace(config, **{name: float(value)}) if first else config
+        at = 0
+        while at < n:
+            try:
+                header, rows = worker(swept, grid[at:])
+            except ValidationError as exc:
+                if exc.state is None:
+                    raise
+                raise ValidationError(exc.problem, at + exc.state) from None
+            if table is None:
+                table = np.empty((len(values) * n, first + rows.shape[1]))
+            table[k * n + at:k * n + at + len(rows), first:] = rows
+            at += len(rows)
+        if first:
+            table[k * n:(k + 1) * n, 0] = value
+    return [f"sweep_{name}"] * first + header, table
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def _simulate_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
+def _simulate_rows(config: RunConfig, ts_us: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """p_g and the state elements at the first block of the times ``ts_us``,
+    or at all of them for the n-step product (see :func:`_sweep_rows`)."""
     params = config.params()
     geom = config.geometry() if config.profile == "gaussian" else None
     kind = config.model_kind()
     delta_t = config.delta_t_us * 1e-6
-    ts_us = config.grid_us()
-    ts = ts_us * 1e-6
     name = config.model
 
     if delta_t < 0.0:
@@ -358,6 +380,12 @@ def _simulate_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
     if delta_t > 0.0 and geom is None:
         raise ValidationError("time-uncertainty averaging uses the gaussian profile")
 
+    # The closed forms are elementwise in t; the n-step product's matrix
+    # products round some rows differently when the number of times changes,
+    # so it takes the whole grid and bounds its memory by its factor chunks.
+    if not (name == "phenom-t" or (name == "phenom-t0" and geom is not None)):
+        ts_us = ts_us[:BLOCK]
+    ts = ts_us * 1e-6
     if name == "phenom-t0" and geom is None:
         rho = cf.phenom_T0_rho(params.g, kind.gamma, ts)
     elif name == "microscopic" and geom is None:
@@ -380,25 +408,28 @@ def _simulate_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
                                     m[:, 2, 2].real, m[:, 0, 1].real, m[:, 0, 1].imag])
 
 
-def _energy_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
+def _energy_rows(config: RunConfig, ts_us: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The mean energy, sharp and smeared, at the first block of the times ``ts_us``."""
     if config.model != "open-cavity":
         raise ValidationError("energy curves are defined for the open-cavity model")
     params = config.params()
     rates = config.rates()
     delta_t = config.delta_t_us * 1e-6
-    ts_us = config.grid_us()
+    ts_us = ts_us[:BLOCK]
     ts = ts_us * 1e-6
     omega = cf.energy_mean(rates, config.eps, params, ts)
     conv = dephase.convolve_energy(rates, config.eps, params, delta_t, ts)
     return ["t_us", "omega_bar", "omega_bar_convolved"], np.column_stack([ts_us, omega, conv])
 
 
-def _entangle_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
+def _entangle_rows(config: RunConfig, ts_us: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The partial-transpose spectrum and the |e,0><g,1| coherence at the
+    first block of the times ``ts_us``."""
     if config.model != "open-cavity":
         raise ValidationError("the separability analysis is defined for the open-cavity model")
     params = config.params()
     geom = config.geometry() if config.profile == "gaussian" else None
-    ts_us = config.grid_us()
+    ts_us = ts_us[:BLOCK]
     rho_d = cf.opencavity_rho(config.rates(), config.eps, params, ts_us * 1e-6, geometry=geom)
     rho_b = models.dressed_transform(rho_d, Basis.BARE)
     spec = entangle.ppt_spectrum(entangle.embed4(rho_b))

@@ -33,7 +33,15 @@ ComplexMatrix = np.ndarray
 
 
 class ValidationError(ValueError):
-    """A matrix or parameter failed a structural precondition."""
+    """A matrix or parameter failed a structural precondition.
+
+    ``state`` is the index of the failing member of a state stack, or None;
+    the message names it before the ``problem``.
+    """
+
+    def __init__(self, problem: str, state: int | None = None):
+        super().__init__(problem if state is None else f"state {state}: {problem}")
+        self.problem, self.state = problem, state
 
 
 class Basis(Enum):
@@ -252,11 +260,11 @@ class DensityMatrix:
     def _check(self, budget: tuple[float, float, float]) -> "DensityMatrix":
         max_trace, max_herm, max_neg = budget
         stack = self.matrix.reshape(-1, self.dim, self.dim)
-        where = "state {}: " if self.matrix.ndim == 3 else ""
+        stacked = self.matrix.ndim == 3
         if self._min_eig is None:   # construction measures the spectrum, once
             if not np.isfinite(stack).all():
                 i = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
-                raise ValidationError(where.format(i) + "matrix entries must be finite")
+                raise ValidationError("matrix entries must be finite", i if stacked else None)
             w = np.concatenate([np.linalg.eigvalsh(0.5 * (b + np.swapaxes(b.conj(), 1, 2)))[:, 0]
                                 for b in blocks(stack)])
             object.__setattr__(self, "_min_eig", float(w[0]) if self.matrix.ndim == 2 else w)
@@ -272,7 +280,7 @@ class DensityMatrix:
                 problem = f"hermiticity defect {herm[i]:.3e} > {max_herm:.0e}"
             else:
                 problem = f"minimum eigenvalue {w[i]:.3e} < -{max_neg:.0e}"
-            raise ValidationError(where.format(i) + problem)
+            raise ValidationError(problem, i if stacked else None)
         return self
 
 

@@ -275,6 +275,22 @@ def test_write_csv_memory_does_not_grow_with_the_table(tmp_path):
     assert peak <= 4e6   # the whole text and its row strings took 41.5 MB
 
 
+@pytest.mark.parametrize("worker, fields, sweep, spare", [
+    (cli._entangle_rows, {"step_us": 0.025}, None, 6e6),   # 17 201 rows, 5 blocks
+    (cli._simulate_rows, {}, "gamma3=1000:30000:80", 1.5e6),
+], ids=["entangle", "sweep"])
+def test_table_memory_is_the_table_plus_one_block(worker, fields, sweep, spare):
+    config = cli.RunConfig(**fields)
+    tracemalloc.start()
+    try:
+        _, table = cli._sweep_rows(config, cli.parse_sweep(sweep), worker)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the states of the whole grid at once took 12.9 and 2.6 MB beyond the table
+    assert peak <= table.nbytes + spare
+
+
 class Unloadable(Exception):
     """Pickles by its message alone, which its constructor cannot take back."""
 
@@ -289,6 +305,7 @@ def _raise_unloadable():
 # One sample per exception class the package defines.
 _EXCEPTIONS = [
     core.ValidationError("matrix entries must be finite"),
+    core.ValidationError("trace defect 1.000e-09 > 1e-09", state=5299),
     cli.ConfigError("unknown config field 'x'"),
     cf.DegenerateModelError("S vanishes"),
     evolve.StepUnderflowError(1.5e-6),
@@ -732,6 +749,25 @@ def test_simulate_rejects_negative_inputs(tmp_path, argv, message, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "entangle"])
+def test_failing_state_is_named_by_its_grid_index(tmp_path, monkeypatch, command, capsys):
+    grid = ("--end-us", "60", "--step-us", "0.01")   # 6001 rows: 4096, then 1905
+    failing = cli.RunConfig(end_us=60.0, step_us=0.01).grid_us()[5000] * 1e-6
+    state = cf._state
+
+    def corrupted(diag, m01, m10, basis, t, note=None):
+        diag = diag.copy()
+        diag[np.atleast_1d(t) == failing, 0] += 1e-6   # a trace defect at one time
+        return state(diag, m01, m10, basis, t, note)
+
+    monkeypatch.setattr(cf, "_state", corrupted)
+    out = tmp_path / "out.csv"
+    assert run_cli(command, *grid, "-o", str(out)) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == "error: state 5000: trace defect 1.000e-06 > 1e-09\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_simulate_checks_the_profile_before_any_state(monkeypatch, capsys):
     def producer(*args, **kwargs):
         raise AssertionError("a state producer ran")
@@ -813,6 +849,17 @@ def test_unallocatable_grid_is_usage_error(tmp_path, end_us, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: config field 'step_us' = 1e-300 ") and err.count("\n") == 1
     assert not out.exists()
+
+
+# The grid is built before the table's states, so its usage error comes first
+# whatever the command and whichever physics check would fail.
+@pytest.mark.parametrize("argv", [("energy", "--model", "phenom-t"),
+                                  ("energy", "--gamma1", "-1"),
+                                  ("simulate", "--temperature", "-1"),
+                                  ("simulate", "--delta-t-us", "-1")])
+def test_unallocatable_grid_comes_before_the_physics_checks(argv, capsys):
+    assert run_cli(*argv, "--step-us", "1e-300") == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: config field 'step_us' = 1e-300 ")
 
 
 @pytest.mark.parametrize("command", ["fit-q", "davies-check"])
