@@ -7,8 +7,9 @@ give byte-identical files.
 Units at the boundary: microseconds for times, angular rates (1/s) for the
 gammas, millimeters for the geometry, rad/s for omega0 and g.
 
-Exit codes: 0 success, 2 usage/config error, 3 validation error (a rate
-that overflows a closed form included), 4 fit non-convergence.
+Exit codes: 0 success, 2 usage/config error (sizes too large to allocate
+included), 3 validation error (a rate that overflows a closed form
+included), 4 fit non-convergence.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import closed_form as cf, dephase, entangle, evolve, fitting, models
-from .core import BLOCK, Basis, ValidationError, blocks, can_fork, fork_call
+from .core import BLOCK, Basis, ValidationError, blocks
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -131,6 +132,8 @@ class RunConfig:
                     values = json.load(fh)
             except OSError as exc:
                 raise ConfigError(f"cannot read config: {exc}")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"config is not UTF-8 text: {exc.reason}") from None
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON (line {exc.lineno}, "
                                   f"column {exc.colno}): {exc.msg}")
@@ -186,9 +189,16 @@ def fmt(value) -> str:
 
 def _worker_start(n: int) -> int:
     """The first of ``n`` rows a forked worker formats: the block boundary
-    nearest the middle, or ``n`` (no worker) for at most one block or when
-    :func:`~rabicav.core.can_fork` is false."""
-    if n <= BLOCK or not can_fork():
+    nearest the middle, or ``n`` (no worker) for at most one block, on a
+    platform without fork, or on one CPU (the affinity mask, else
+    ``os.cpu_count``)."""
+    if n <= BLOCK or not hasattr(os, "fork"):
+        return n
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
         return n
     return BLOCK * round(n / (2 * BLOCK))   # n > BLOCK: at least one block
 
@@ -204,22 +214,43 @@ def _write_blocks(fh, lines: list[str], rows: np.ndarray) -> None:
 
 def _write_table(fh, header: list[str], rows: np.ndarray) -> None:
     """Write the CSV text of ``rows`` to ``fh``: the rows from
-    :func:`_worker_start` on are formatted by a worker
-    (:func:`~rabicav.core.fork_call`) into a temporary file, at the same time
-    as this process formats the rows before them, and appended after those."""
+    :func:`_worker_start` on are formatted by a forked worker into a
+    temporary file, at the same time as this process formats the rows before
+    them, and appended after those; if the worker fails, this process
+    formats its rows instead."""
     start = _worker_start(len(rows))
     if start == len(rows):
         _write_blocks(fh, [",".join(header)], rows)
         return
-    import shutil, tempfile
+    import shutil, signal, tempfile, warnings
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as tmp:
-        def worker():
-            _write_blocks(tmp, [], rows[start:])
-            tmp.flush()
-
-        fork_call(worker, lambda: _write_blocks(fh, [",".join(header)], rows[:start]))
-        tmp.seek(0)
-        shutil.copyfileobj(tmp, fh)
+        # Python >= 3.12 warns on fork while another OS thread runs, here numpy's
+        # BLAS pool; OpenBLAS stops its pool before a fork and each process
+        # starts its own again
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:   # the worker: it leaves through os._exit only, so no buffer,
+            try:       # handler or finally of this process runs a second time
+                _write_blocks(tmp, [], rows[start:])
+                tmp.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        try:
+            _write_blocks(fh, [",".join(header)], rows[:start])
+            _, status = os.waitpid(pid, 0)
+            pid = 0
+        finally:
+            if pid:   # an error or an interrupt came before the worker was reaped
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        if os.waitstatus_to_exitcode(status) == 0:   # its whole text is in tmp
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, fh)
+        else:
+            _write_blocks(fh, [], rows[start:])
 
 
 def write_csv(path: str | None, header: list[str], rows: np.ndarray) -> None:
@@ -232,9 +263,9 @@ def write_csv(path: str | None, header: list[str], rows: np.ndarray) -> None:
     more than one block is formatted on two CPUs when there are two: a forked
     worker formats the second half while this process formats the first, and
     the same block formatter gives the same bytes as one process would.  A
-    path that cannot be written raises ConfigError (exit 2) and leaves no
-    partial file, even after earlier blocks went out; so does a worker's
-    failure to write, which is raised here as this process's own.
+    worker that fails leaves its rows to this process, so it can cost time
+    but not bytes.  A path that cannot be written raises ConfigError (exit 2)
+    and leaves no partial file, even after earlier blocks went out.
     A closed stdout raises BrokenPipeError for :func:`main` to end quietly.
     """
     rows = np.asarray(rows, dtype=float)
@@ -265,6 +296,8 @@ def ingest_series(path: str, convention: fitting.TimeConvention) -> fitting.Expe
             lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
     except OSError as exc:
         raise ValidationError(f"cannot read data file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"data file is not UTF-8 text: {exc.reason}") from None
     if not lines:
         raise ValidationError("data file is empty")
     header = [h.strip() for h in lines[0][1].split(",")]
@@ -615,6 +648,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:   # numpy's error names the size it could not allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

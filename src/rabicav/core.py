@@ -7,7 +7,6 @@ the bare product basis with the dressed one.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -82,87 +81,6 @@ def hermiticity_defect(matrix: np.ndarray):
 def blocks(array: np.ndarray):
     """``array`` in slices of BLOCK along its first axis (one empty slice if it is empty)."""
     return (array[i:i + BLOCK] for i in range(0, max(len(array), 1), BLOCK))
-
-
-def can_fork() -> bool:
-    """Whether :func:`fork_call` starts a worker: ``os.fork`` exists and this
-    process may run on two CPUs or more."""
-    if not hasattr(os, "fork"):
-        return False
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return cpus >= 2
-
-
-def fork_call(worker, here) -> tuple:
-    """``(worker(), here())``: when :func:`can_fork`, ``worker`` runs in a
-    forked process while ``here`` runs in this one; else both run here,
-    ``here`` first.
-
-    The worker's return value, or the exception it raised, comes back
-    pickled through a pipe that this process reads to its end once ``here``
-    has returned, and the worker is reaped after that; an exception or an
-    interrupt in ``here`` kills and reaps it.  The worker's exception is
-    raised here as it would be without a worker.  A reply that cannot be
-    unpickled raises RuntimeError with the worker's traceback, and a worker
-    that ends without replying raises ChildProcessError.
-    """
-    if not can_fork():
-        mine = here()
-        return worker(), mine
-    import pickle, signal, warnings
-    read, write = os.pipe()
-    # Python >= 3.12 warns on fork while another OS thread runs, here numpy's
-    # BLAS pool; OpenBLAS stops its pool before a fork and each process
-    # starts its own again
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:   # the worker: it leaves through os._exit only, so no buffer,
-        code = 1   # handler or finally of this process runs a second time
-        try:
-            os.close(read)
-            try:
-                trace, value = None, worker()
-            except BaseException as exc:   # raised again by the parent
-                import traceback
-                trace, value = traceback.format_exc(), exc
-            try:
-                value = pickle.dumps(value)
-            except Exception:
-                import traceback
-                trace, value = trace or traceback.format_exc(), None
-            with open(write, "wb") as pipe:
-                pickle.dump((trace, value), pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    with open(read, "rb") as pipe:
-        try:
-            mine = here()
-            reply = pipe.read()   # to its end: the worker has replied or is gone
-            _, status = os.waitpid(pid, 0)
-            pid = 0
-        finally:
-            if pid:   # an error or an interrupt came before the worker was reaped
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code:   # the worker exits with 0 only once its whole reply is written
-        raise ChildProcessError(f"the worker ended with status {code} before it replied")
-    trace, value = pickle.loads(reply)   # a str or None, and bytes or None
-    try:
-        value = pickle.loads(value)
-    except Exception as exc:   # None: the worker could not pickle it
-        raise RuntimeError(f"the worker's reply cannot be unpickled:\n{trace or repr(exc)}"
-                           ) from None
-    if trace is not None:
-        raise value
-    return value, mine
 
 
 def elementwise(fn, array) -> np.ndarray:

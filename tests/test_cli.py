@@ -202,21 +202,38 @@ def test_write_failing_after_the_first_block_leaves_no_file(tmp_path, monkeypatc
     assert_reaped(forks)
 
 
-def test_unwritable_worker_file_is_usage_error(tmp_path, monkeypatch, capsys, forks):
+def test_unwritable_worker_file_costs_no_bytes(tmp_path, monkeypatch, capsys, forks):
     class Unwritable(io.StringIO):
         def write(self, text):
             raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(tempfile, "TemporaryFile", lambda *a, **k: Unwritable())
     out = tmp_path / "out.csv"
-    assert run_cli("energy", "--end-us", str(2 * BLOCK), "-o", str(out)) == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err == f"error: cannot write output {str(out)!r}: No space left on device\n"
-    assert not out.exists()
-    assert run_cli("energy", "--end-us", str(2 * BLOCK)) == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err == "error: cannot write output to stdout: No space left on device\n"
+    assert run_cli("energy", "--end-us", str(2 * BLOCK), "-o", str(out)) == cli.EXIT_OK
+    assert run_cli("energy", "--end-us", str(2 * BLOCK)) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    header, rows = cli._sweep_rows(cli.RunConfig(end_us=2 * BLOCK), None, cli._energy_rows)
+    assert out.read_text() == captured.out == _one_shot_csv(header, rows)
     assert len(forks) == 2
+    assert_reaped(forks)
+
+
+def test_worker_that_dies_leaves_its_rows_to_this_process(tmp_path, monkeypatch, forks):
+    parent, write_blocks = os.getpid(), cli._write_blocks
+
+    def dies_after_one_block(fh, lines, rows):
+        if os.getpid() == parent:
+            return write_blocks(fh, lines, rows)
+        write_blocks(fh, lines, rows[:BLOCK])   # into the worker's file, flushed
+        fh.flush()
+        os._exit(3)
+
+    monkeypatch.setattr(cli, "_write_blocks", dies_after_one_block)
+    rows = np.arange(3 * (3 * BLOCK + 7), dtype=float).reshape(-1, 3)
+    cli.write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], rows)
+    assert (tmp_path / "t.csv").read_text() == _one_shot_csv(["a", "b", "c"], rows)
+    assert len(forks) == 1
     assert_reaped(forks)
 
 
@@ -241,6 +258,19 @@ def test_table_is_written_without_a_fork(tmp_path, monkeypatch, n, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     cli.write_csv(str(tmp_path / "t.csv"), ["a"], np.zeros((n, 1)))
     assert (tmp_path / "t.csv").read_text() == "a\n" + "0.0\n" * n
+
+
+@pytest.mark.parametrize("cpus, workers", [(1, 0), (2, 1)])
+def test_cpu_count_decides_without_an_affinity_call(tmp_path, monkeypatch, forks,
+                                                    cpus, workers):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    rows = np.arange(2 * BLOCK + 5, dtype=float)[:, None]
+    cli.write_csv(str(tmp_path / "t.csv"), ["a"], rows)
+    assert (tmp_path / "t.csv").read_text() == _one_shot_csv(["a"], rows)
+    assert len(forks) == workers
+    if forks:
+        assert_reaped(forks)
 
 
 def _one_shot_csv(header, rows):
@@ -291,17 +321,6 @@ def test_table_memory_is_the_table_plus_one_block(worker, fields, sweep, spare):
     assert peak <= table.nbytes + spare
 
 
-class Unloadable(Exception):
-    """Pickles by its message alone, which its constructor cannot take back."""
-
-    def __init__(self, a, b):
-        super().__init__(f"{a}/{b}")
-
-
-def _raise_unloadable():
-    raise Unloadable("x", "y")
-
-
 # One sample per exception class the package defines.
 _EXCEPTIONS = [
     core.ValidationError("matrix entries must be finite"),
@@ -326,24 +345,20 @@ def test_every_package_exception_survives_pickling():
         assert back.args == exc.args and vars(back) == vars(exc)
 
 
-@pytest.mark.parametrize("worker, error, message", [
-    (_raise_unloadable, RuntimeError, "Unloadable: x/y"),
-    (lambda: lambda: None, RuntimeError, "Can't pickle"),
-    (lambda: os._exit(3), ChildProcessError, "status 3 before it replied"),
-], ids=["unloadable-exception", "unpicklable-result", "no-reply"])
-def test_worker_without_a_usable_reply(forks, worker, error, message):
-    with pytest.raises(error, match=message):
-        core.fork_call(worker, lambda: None)
-    assert_reaped(forks)
+def test_interrupt_in_the_parent_reaps_the_worker(monkeypatch, forks):
+    class Slow(io.StringIO):
+        def write(self, text):
+            time.sleep(60)
 
+    class Interrupted:
+        def write(self, text):
+            raise KeyboardInterrupt
 
-def test_interrupt_in_the_parent_reaps_the_worker(forks):
-    def interrupted():
-        raise KeyboardInterrupt
-
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *a, **k: Slow())
+    monkeypatch.setattr(sys, "stdout", Interrupted())
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        core.fork_call(lambda: time.sleep(60), interrupted)
+        cli.write_csv(None, ["a"], np.zeros((2 * BLOCK + 5, 1)))
     assert time.perf_counter() - start < 30   # killed, not waited for
     assert len(forks) == 1
     assert_reaped(forks)
@@ -486,6 +501,13 @@ def test_malformed_config_is_usage_error(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"no_such_field": 1}))
     assert run_cli("simulate", "--config", str(unknown)) == cli.EXIT_USAGE
+
+
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'\xff\xfe{"g": 1}')
+    assert run_cli("simulate", "--config", str(cfg)) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: config is not UTF-8 text: invalid start byte\n"
 
 
 def test_unknown_model_is_usage_error(tmp_path):
@@ -681,6 +703,15 @@ def test_fit_rabi_rejects_malformed_data(tmp_path, capsys, rows, message):
     assert message in capsys.readouterr().err
 
 
+def test_fit_rabi_rejects_data_that_is_not_utf8(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"t_us,p_g\n1,\xff\n")
+    assert run_cli("fit-rabi", "--data", str(data)) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == "error: data file is not UTF-8 text: invalid start byte\n"
+    assert captured.out == ""
+
+
 def test_ingest_names_the_file_line_past_blank_lines(tmp_path):
     data = tmp_path / "data.csv"
     data.write_text("t_us,p_g\n1.0,0.1\n\n2.0,0.4\n3.0,nan\n")
@@ -860,6 +891,25 @@ def test_unallocatable_grid_is_usage_error(tmp_path, end_us, capsys):
 def test_unallocatable_grid_comes_before_the_physics_checks(argv, capsys):
     assert run_cli(*argv, "--step-us", "1e-300") == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: config field 'step_us' = 1e-300 ")
+
+
+# Sizes of hundreds of GiB or more, which the allocator refuses at once; a
+# size that an overcommitting host may grant would be filled, so none is tested.
+@pytest.mark.parametrize("argv, size", [
+    (("simulate", "--sweep", "gamma3=1:2:1000000000000"), "7.28 TiB"),
+    (("simulate", "--sweep", "gamma3=1:2:1000000", "--end-us", "1000000"), "65.5 TiB"),
+    (("simulate", "--model", "phenom-t0", "--profile", "gaussian",
+      "--nstep", "100000000000", "--end-us", "2"), "745. GiB"),
+    (("davies-check", "--n-max", "100000"), "596. GiB"),
+], ids=["sweep-values", "sweep-table", "nstep", "davies-ladder"])
+def test_unallocatable_size_is_usage_error(tmp_path, capsys, argv, size):
+    out = tmp_path / "out.csv"
+    argv += ("-o", str(out)) if argv[0] == "simulate" else ()
+    assert run_cli(*argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: out of memory: Unable to allocate {size} ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["fit-q", "davies-check"])
