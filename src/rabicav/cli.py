@@ -217,7 +217,7 @@ def _write_table(fh, header: list[str], rows: np.ndarray) -> None:
     :func:`_worker_start` on are formatted by a forked worker into a
     temporary file, at the same time as this process formats the rows before
     them, and appended after those; if the worker fails, this process
-    formats its rows instead."""
+    formats its rows instead, and if the fork fails, every row."""
     start = _worker_start(len(rows))
     if start == len(rows):
         _write_blocks(fh, [",".join(header)], rows)
@@ -230,7 +230,13 @@ def _write_table(fh, header: list[str], rows: np.ndarray) -> None:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                     DeprecationWarning)
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:   # no process to spare (EAGAIN, ENOMEM)
+                pid = None
+        if pid is None:
+            _write_blocks(fh, [",".join(header)], rows)
+            return
         if pid == 0:   # the worker: it leaves through os._exit only, so no buffer,
             try:       # handler or finally of this process runs a second time
                 _write_blocks(tmp, [], rows[start:])
@@ -263,8 +269,8 @@ def write_csv(path: str | None, header: list[str], rows: np.ndarray) -> None:
     more than one block is formatted on two CPUs when there are two: a forked
     worker formats the second half while this process formats the first, and
     the same block formatter gives the same bytes as one process would.  A
-    worker that fails leaves its rows to this process, so it can cost time
-    but not bytes.  A path that cannot be written raises ConfigError (exit 2)
+    worker that fails, or cannot be forked, leaves its rows to this process,
+    so it can cost time but not bytes.  A path that cannot be written raises ConfigError (exit 2)
     and leaves no partial file, even after earlier blocks went out.
     A closed stdout raises BrokenPipeError for :func:`main` to end quietly.
     """

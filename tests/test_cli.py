@@ -219,6 +219,22 @@ def test_unwritable_worker_file_costs_no_bytes(tmp_path, monkeypatch, capsys, fo
     assert_reaped(forks)
 
 
+def test_failed_fork_leaves_every_row_to_this_process(tmp_path, monkeypatch, capsys, forks):
+    def no_process():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)   # on the two CPUs of ``forks``
+    out = tmp_path / "out.csv"
+    assert run_cli("energy", "--end-us", str(2 * BLOCK), "-o", str(out)) == cli.EXIT_OK
+    header, rows = cli._sweep_rows(cli.RunConfig(end_us=2 * BLOCK), None, cli._energy_rows)
+    assert out.read_text() == _one_shot_csv(header, rows)
+    # a write that fails here is still a usage error, and leaves no file
+    monkeypatch.setattr(cli, "_write_blocks", lambda fh, lines, rows: no_process())
+    assert run_cli("energy", "--end-us", str(2 * BLOCK), "-o", str(out)) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: cannot write output ")
+    assert not out.exists()
+
+
 def test_worker_that_dies_leaves_its_rows_to_this_process(tmp_path, monkeypatch, forks):
     parent, write_blocks = os.getpid(), cli._write_blocks
 
