@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -321,7 +321,9 @@ def damping_basis(rates: DecayRates, params: PhysicalParams | None = None) -> Da
     """Closed-form spectral decomposition of the open-cavity generator.
 
     Off-diagonal eigenvalues carry the coupling-dependent imaginary parts
-    only when ``params`` is supplied.
+    only when ``params`` is supplied: lambda4..lambda6 rotate at 2g, g and -g,
+    in the frame of :func:`rabicav.models.build_liouvillian` (rotating at
+    omega0), which acceptance criterion 10 checks them against.
     """
     g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
     ga, gb, gc = rates.gamma_a, rates.gamma_b, rates.gamma_c
@@ -346,14 +348,10 @@ def damping_basis(rates: DecayRates, params: PhysicalParams | None = None) -> Da
     decay4 = (g1 + g2 + g3 + gc) / 4.0
     decay5 = (g1 + g3 + ga + gb) / 4.0
     decay6 = (g2 + ga + gb + gc) / 4.0
-    if params is not None:
-        e = np.diag(dressed_hamiltonian(params)).real
-        w4, w5, w6 = e[0] - e[1], e[0] - e[2], e[1] - e[2]
-    else:
-        w4 = w5 = w6 = 0.0
-    lam[3] = -1j * w4 - decay4
-    lam[4] = -1j * w5 - decay5
-    lam[5] = -1j * w6 - decay6
+    g = 0.0 if params is None else params.g
+    lam[3] = -2j * g - decay4
+    lam[4] = -1j * g - decay5
+    lam[5] = 1j * g - decay6
     lam[6] = np.conj(lam[3])
     lam[7] = np.conj(lam[4])
     lam[8] = np.conj(lam[5])
@@ -451,10 +449,9 @@ def _fallback(rates: DecayRates, params: PhysicalParams, t,
     the off-diagonal phases, so propagating with the effective coupling
     reproduces the profile-averaged state.
     """
-    p = params if geometry is None else replace(params, g=_phase_coupling(params, geometry))
     rho0 = initial_excited_state(Basis.DRESSED)
-    block, l0, slope = _block_family(OpenCavity(rates), p, rho0)
-    lam, vmat = np.linalg.eig(l0 + p.g * slope)
+    block, l0, slope = _block_family(OpenCavity(rates), rho0)
+    lam, vmat = np.linalg.eig(l0 + _phase_coupling(params, geometry) * slope)
     modes = np.zeros((9, block.size), dtype=complex)
     modes[block] = vmat * np.linalg.solve(vmat, vec(rho0.matrix)[block])
     ts = time_grid(t)

@@ -19,8 +19,7 @@ import numpy as np
 
 from .core import Basis, ValidationError
 from .models import (
-    Liouvillian, PhysicalParams, boltzmann_exponent, dissipator_superop,
-    dressed_hamiltonian, hamiltonian_superop,
+    Liouvillian, PhysicalParams, boltzmann_exponent, coupling_superop, dissipator_superop,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -161,9 +160,11 @@ def assemble_generator(ops: list[DaviesOperator], weights: SpectralWeights,
     Each operator is projected onto the three-level subspace (O+, O-, O0);
     positive frequencies contribute the downward dissipator with gamma(w) and
     the upward one with the thermally paired gamma(-w).  Energy shifts are
-    dropped throughout.
+    dropped throughout.  Like the models' generators, it is g*L1 plus these
+    dissipators, in the frame rotating at omega0; the weights stay keyed at
+    the lab-frame Bohr frequencies.
     """
-    mat = hamiltonian_superop(dressed_hamiltonian(params))
+    mat = params.g * coupling_superop(Basis.DRESSED)
     for op in ops:
         if op.bohr_frequency <= 0.0:
             continue

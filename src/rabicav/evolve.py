@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import BLOCK, DensityMatrix, ValidationError, time_grid
 from .models import (
-    Liouvillian, ModelKind, PhysicalParams, build_liouvillian,
-    ground_state_probability, vec, unvec,
+    Liouvillian, ModelKind, PhysicalParams, coupling_family, ground_state_probability,
+    vec, unvec,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -212,16 +212,6 @@ def integrate_stack(liouvillians: Sequence[Liouvillian], rho0s: Sequence[Density
     return trajectories()
 
 
-def _coupling_family(kind: ModelKind, params: PhysicalParams):
-    """Affine decomposition L(g) = L0 + g*L1 of the generator in the coupling."""
-    g = params.g
-    la = build_liouvillian(kind, params)
-    lb = build_liouvillian(kind, replace(params, g=g / 2))
-    slope = (la.matrix - lb.matrix) / (g / 2)
-    l0 = la.matrix - g * slope
-    return l0, slope, la.basis
-
-
 def _expm_rows(a: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """exp(a dt_i) for each entry of the column ``dt``: the Taylor series of
     a dt_i / 2^s, squared s times, with s set by the largest dt_i."""
@@ -252,11 +242,12 @@ def _midpoint_couplings(g_peak: float, geom: CavityGeometry, n: int) -> np.ndarr
     return gs
 
 
-def _block_family(kind: ModelKind, params: PhysicalParams, rho0: DensityMatrix):
+def _block_family(kind: ModelKind, rho0: DensityMatrix):
     """``(block, l0, slope)``: the invariant block of ``rho0``, the vec entries
     it reaches along the nonzero pattern of L(g) = L0 + g*L1 (the others stay
-    exactly zero), and L0 and L1 restricted to it."""
-    l0, slope, basis = _coupling_family(kind, params)
+    exactly zero), and L0 and L1 of :func:`~rabicav.models.coupling_family`
+    restricted to it."""
+    l0, slope, basis = coupling_family(kind)
     if rho0.basis is not basis:
         raise ValidationError("rho0 basis does not match the model basis")
     v0 = vec(rho0.matrix)
@@ -296,7 +287,7 @@ def nstep_propagate(kind: ModelKind, params: PhysicalParams,
         raise ValidationError("n must be a positive integer")
     ts = time_grid(t)
     gs = np.full(n, params.g) if geom is None else _midpoint_couplings(params.g, geom, n)
-    block, l0, slope = _block_family(kind, params, rho0)
+    block, l0, slope = _block_family(kind, rho0)
     if np.ptp(gs) > 0 and np.array_equal(l0 @ slope, slope @ l0):
         # a constant profile keeps g itself: fsum(n*g)/n can be one ulp off it
         gs, n = np.array([math.fsum(gs.tolist()) / n]), 1

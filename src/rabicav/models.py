@@ -1,7 +1,12 @@
 """Generators for the four master-equation models of a lossy-cavity Rabi system.
 
-All four models share the resonant atom-cavity Hamiltonian; they differ in
-where the jump operators live:
+Every generator is L(g) = L0 + g*L1 in the frame rotating at omega0
+(:func:`coupling_family`).  At resonance, under the RWA, that frame is exact
+and leaves every dissipator unchanged, since each jump changes the excitation
+number by a fixed amount (Breuer & Petruccione, The Theory of Open Quantum
+Systems (2002), section 3.3); omega0 enters only the thermal factors and the
+energy.  The four models share the coupling L1; they differ in where the
+jump operators of L0 live:
 
 * ``PhenomT0`` / ``PhenomT`` -- photon-number jumps in the bare basis, the
   ``T > 0`` variant with the jump operators projected onto the three-level
@@ -184,18 +189,9 @@ class OpenCavity:
 ModelKind = Union[PhenomT0, PhenomT, Microscopic, OpenCavity]
 
 
-def bare_hamiltonian(params: PhysicalParams) -> np.ndarray:
-    """Resonant Hamiltonian/hbar in the bare basis |e,0>, |g,1>, |g,0>."""
-    w, g = params.omega0, params.g
-    return np.array([
-        [w / 2, g, 0.0],
-        [g, w / 2, 0.0],
-        [0.0, 0.0, -w / 2],
-    ], dtype=complex)
-
-
 def dressed_hamiltonian(params: PhysicalParams) -> np.ndarray:
-    """Resonant Hamiltonian/hbar in the dressed basis |O+>, |O->, |O0>."""
+    """Lab-frame Hamiltonian/hbar in the dressed basis |O+>, |O->, |O0>: the
+    energy observable, which no generator uses."""
     w, g = params.omega0, params.g
     return np.diag([w / 2 + g, w / 2 - g, -w / 2]).astype(complex)
 
@@ -275,38 +271,44 @@ def _unit(i: int, j: int) -> np.ndarray:
     return m
 
 
-def build_liouvillian(kind: ModelKind, params: PhysicalParams) -> Liouvillian:
-    """Assemble the generator for one of the four models.
+def coupling_superop(basis: Basis) -> np.ndarray:
+    """L1, the superoperator of -i[sigma, .] for the rotating-frame Hamiltonian
+    g*sigma: sigma = |e,0><g,1| + h.c. in the BARE basis, diag(1, -1, 0) in DRESSED."""
+    sigma = _unit(0, 1) + _unit(1, 0) if basis is Basis.BARE else np.diag([1.0, -1.0, 0.0])
+    return hamiltonian_superop(sigma)
+
+
+def coupling_family(kind: ModelKind) -> tuple[np.ndarray, np.ndarray, Basis]:
+    """``(L0, L1, basis)`` of a model's generator L(g) = L0 + g*L1 in the frame
+    rotating at omega0: L0 the sum of its dissipators, L1 :func:`coupling_superop`.
 
     Photon-number models live in the BARE basis, dressed-state models in the
     DRESSED basis.  The dressed-state dissipators carry the rate/2 prefactor
     of their defining equations (jump term rate/2, anticommutator rate/4).
     """
     if isinstance(kind, PhenomT0):
-        mat = hamiltonian_superop(bare_hamiltonian(params))
-        mat += dissipator_superop(kind.gamma, _unit(2, 1))
-        return Liouvillian(mat, Basis.BARE)
-    if isinstance(kind, PhenomT):
-        mat = hamiltonian_superop(bare_hamiltonian(params))
-        mat += dissipator_superop(kind.gamma_down, _unit(2, 1))
-        mat += dissipator_superop(kind.gamma_up, _unit(1, 2))
-        return Liouvillian(mat, Basis.BARE)
-    if isinstance(kind, Microscopic):
-        mat = hamiltonian_superop(dressed_hamiltonian(params))
-        mat += dissipator_superop(kind.gamma1 / 2, _unit(2, 0))
-        mat += dissipator_superop(kind.gamma2 / 2, _unit(2, 1))
-        return Liouvillian(mat, Basis.DRESSED)
-    if isinstance(kind, OpenCavity):
+        basis, jumps = Basis.BARE, [(kind.gamma, (2, 1))]
+    elif isinstance(kind, PhenomT):
+        basis, jumps = Basis.BARE, [(kind.gamma_down, (2, 1)), (kind.gamma_up, (1, 2))]
+    elif isinstance(kind, Microscopic):
+        basis, jumps = Basis.DRESSED, [(kind.gamma1 / 2, (2, 0)), (kind.gamma2 / 2, (2, 1))]
+    elif isinstance(kind, OpenCavity):
         r = kind.rates
-        mat = hamiltonian_superop(dressed_hamiltonian(params))
-        mat += dissipator_superop(r.gamma1 / 2, _unit(2, 0))
-        mat += dissipator_superop(r.gamma_a / 2, _unit(0, 2))
-        mat += dissipator_superop(r.gamma2 / 2, _unit(2, 1))
-        mat += dissipator_superop(r.gamma_b / 2, _unit(1, 2))
-        mat += dissipator_superop(r.gamma3 / 2, _unit(1, 0))
-        mat += dissipator_superop(r.gamma_c / 2, _unit(0, 1))
-        return Liouvillian(mat, Basis.DRESSED)
-    raise ValidationError(f"unknown model kind {kind!r}")
+        basis, jumps = Basis.DRESSED, [
+            (r.gamma1 / 2, (2, 0)), (r.gamma_a / 2, (0, 2)),
+            (r.gamma2 / 2, (2, 1)), (r.gamma_b / 2, (1, 2)),
+            (r.gamma3 / 2, (1, 0)), (r.gamma_c / 2, (0, 1)),
+        ]
+    else:
+        raise ValidationError(f"unknown model kind {kind!r}")
+    l0 = sum(dissipator_superop(rate, _unit(i, j)) for rate, (i, j) in jumps)
+    return l0, coupling_superop(basis), basis
+
+
+def build_liouvillian(kind: ModelKind, params: PhysicalParams) -> Liouvillian:
+    """The generator L0 + g*L1 of :func:`coupling_family` at the coupling ``params.g``."""
+    l0, l1, basis = coupling_family(kind)
+    return Liouvillian(l0 + params.g * l1, basis)
 
 
 def ground_state_probability(rho: DensityMatrix):

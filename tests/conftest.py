@@ -31,8 +31,7 @@ def block_expm():
     rho_12_im of exp(L t) rho0 at the times ``ts``, from scipy's expm of the
     generator ``liouvillian`` restricted to rho0's invariant block.
 
-    The block is checked closed under L.  The full 9x9 expm is no oracle: its
-    omega0 t phases limit it to about 2e-10.
+    The block is checked closed under L.
     """
     def columns(liouvillian, rho0, ts):
         mat = liouvillian.matrix

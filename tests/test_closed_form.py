@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rabicav import closed_form as cf
@@ -122,31 +122,24 @@ def test_microscopic_lossless_precession(params):
     assert rho.matrix[0, 1] == pytest.approx(-0.5 * np.exp(-2j * g * t), abs=1e-14)
 
 
-def test_microscopic_matches_rk_oracle():
-    # omega0 cancels from every compared component; a small value keeps the
-    # generator's float Bohr-frequency rounding (ulp of omega0) below the
-    # 1e-10 agreement budget
-    params = models.PhysicalParams(omega0=1e6)
+def test_microscopic_matches_rk_oracle(params):
     g1, g2 = 0.1 * params.g, 0.05 * params.g
     state = _rk_state(models.Microscopic(g1, g2), params, 30e-6)
     closed = cf.microscopic_rho(params.g, g1, g2, 30e-6)
     assert np.max(np.abs(closed.matrix - state.matrix)) <= 1e-10
 
 
-_UNIT_W0 = models.PhysicalParams(omega0=1.0)
 _RATE = st.floats(-1.0, 6.0).map(lambda x: 10.0 ** x)   # log-uniform in [0.1, 1e6]
 _OBSERVATION_TIMES = np.linspace(0.0, 500e-6, 26)
 
 
-# the oracle runs at omega0 = 1: at the real omega0, w0/2 +- g rounds the
-# dressed coherence phase by about 5e-9 at 500 us; no column depends on omega0
 @settings(max_examples=40, deadline=None)
 @given(gamma1=st.one_of(st.just(0.0), _RATE), gamma2=st.one_of(st.just(0.0), _RATE),
        g_scale=st.floats(0.05, 1.0))
 def test_microscopic_rho_matches_block_expm(params, block_expm, gamma1, gamma2, g_scale):
     g = params.g * g_scale
     rho = cf.microscopic_rho(g, gamma1, gamma2, _OBSERVATION_TIMES)
-    liou = models.build_liouvillian(models.Microscopic(gamma1, gamma2), replace(_UNIT_W0, g=g))
+    liou = models.build_liouvillian(models.Microscopic(gamma1, gamma2), replace(params, g=g))
     expected = block_expm(liou, cf.initial_excited_state(Basis.DRESSED), _OBSERVATION_TIMES)
     m = rho.matrix
     got = np.column_stack([m[:, 0, 0].real, m[:, 1, 1].real, m[:, 2, 2].real,
@@ -269,18 +262,14 @@ _NEAR_SINGULAR = [s * 10.0 ** -k for k in range(10, 1, -1) for s in (1.0, -1.0)]
 
 @pytest.mark.parametrize("gamma2, bound", [(1000.0, 1e-13), (300.0, 1e-13), (1.0, 3e-13)])
 def test_opencavity_rho_near_singular_families(params, block_expm, gamma2, bound):
-    # the oracle runs at omega0 = 1: at the real omega0, w0/2 +- g rounds the
-    # dressed coherence phase by about 5e-9 at 500 us; the populations do not
-    # depend on omega0
     eps, gamma1 = 0.0466, 1000.0
     total0 = (1.0 + eps) * (gamma1 + gamma2) + 2.0 * eps * gamma1
     ts = np.linspace(0.0, 500e-6, 51)
     rho0 = cf.initial_excited_state(Basis.DRESSED)
-    unit_w0 = models.PhysicalParams(omega0=1.0)
     for d in _NEAR_SINGULAR:
         rates = models.DecayRates.simplified(gamma1, gamma2, eps * gamma1 + d * total0, eps)
         rho = cf.opencavity_rho(rates, eps, params, ts)    # strictly validated
-        liou = models.build_liouvillian(models.OpenCavity(rates), unit_w0)
+        liou = models.build_liouvillian(models.OpenCavity(rates), params)
         expected = block_expm(liou, rho0, ts)[:, 1:4]
         err = np.max(np.abs(np.diagonal(rho.matrix, axis1=1, axis2=2).real - expected))
         assert err <= bound, d
@@ -374,6 +363,7 @@ def test_opencavity_gaussian_profile_changes_phase_only(params, paper_rates, geo
 # vanishing gap; gamma2 << gamma1 next to a vanishing stationary normalization
 @settings(max_examples=60, deadline=None)
 @given(gamma1=_RATE, gamma2=_RATE, gamma3=_RATE, eps=st.floats(0.0, 1.0))
+@example(gamma1=1000.0, gamma2=1000.0, gamma3=46.6, eps=0.0466)   # vanishing gap: the fallback
 @example(gamma1=1000.0, gamma2=1000.0, gamma3=46.6 * (1.0 + 1e-10), eps=0.0466)
 @example(gamma1=1000.0, gamma2=1000.0, gamma3=46.6 * (1.0 - 1e-10), eps=0.0466)
 @example(gamma1=1000.0, gamma2=1000.0, gamma3=46.6 * (1.0 + 1e-4), eps=0.0466)
@@ -383,10 +373,7 @@ def test_opencavity_gaussian_profile_changes_phase_only(params, paper_rates, geo
 @example(gamma1=1000.0, gamma2=0.1, gamma3=46.6, eps=0.0466)
 def test_opencavity_curves_match_block_expm(params, block_expm, gamma1, gamma2, gamma3, eps):
     rates = models.DecayRates.simplified(gamma1, gamma2, gamma3, eps)
-    # an exactly vanishing gap takes the exact fallback, built at the real
-    # omega0; test_degenerate_sum_equals_fallback_states covers it
-    assume(not cf.damping_basis(rates).degenerate)
-    liou = models.build_liouvillian(models.OpenCavity(rates), _UNIT_W0)
+    liou = models.build_liouvillian(models.OpenCavity(rates), params)
     expected = block_expm(liou, cf.initial_excited_state(Basis.DRESSED), _OBSERVATION_TIMES)
     pg = cf.opencavity_pg(rates, eps, params, _OBSERVATION_TIMES)
     assert np.max(np.abs(pg - expected[:, 0])) <= 1e-13
@@ -517,6 +504,18 @@ def test_degenerate_sum_equals_fallback_states(params, geometry, gaussian):
     energy = cf.energy_mean(_DEGENERATE, 0.0466, params, _TIMES)
     trace = np.einsum("i,nii->n", h, cf._fallback_rho(_DEGENERATE, params, _TIMES, None).matrix)
     assert np.max(np.abs(energy - trace.real)) <= 1e-12 * params.omega0
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_degenerate_coherence_is_exact(params, geometry, gaussian):
+    # -1/2 e^{-Gamma t} e^{-2ig't}: Gamma = (gamma1 + gamma2 + 2 gamma3)/4, and g' is
+    # g sqrt(pi) w/d under the Gaussian profile
+    ts = np.linspace(0.0, 500e-6, 501)
+    rho = cf.opencavity_rho(_DEGENERATE, 0.0466, params, ts, geometry if gaussian else None)
+    g = params.g * math.sqrt(math.pi) * geometry.waist / geometry.diameter if gaussian else params.g
+    exact = -0.5 * np.exp(-(2000.0 + 2 * 46.6) / 4.0 * ts) * np.exp(-2j * g * ts)
+    assert rho.note == "fallback"
+    assert np.max(np.abs(rho.matrix[:, 0, 1] - exact)) <= 1e-15
 
 
 @pytest.mark.parametrize("rates", [_DEGENERATE, None], ids=["degenerate", "paper"])

@@ -300,7 +300,7 @@ def _nstep_reference(kind, params, geometry, rho0, t, n):
     # per-factor expm product on the invariant block, one factor at a time
     if t == 0.0:
         return rho0.matrix
-    l0, slope, _ = evolve._coupling_family(kind, params)
+    l0, slope, _ = models.coupling_family(kind)
     sub = np.ix_(_BLOCK, _BLOCK)
     dt = t / n
     v = models.vec(rho0.matrix)[_BLOCK]
@@ -371,7 +371,7 @@ def test_nstep_matches_block_expm_product(params, geometry, gamma, t, n):
 def test_nstep_commuting_product_collapses_exactly(params, geometry, rates, eps, t, n):
     kind = models.OpenCavity(DecayRates.simplified(*rates, eps))
     rho0 = cf.initial_excited_state(Basis.DRESSED)
-    _, l0, slope = evolve._block_family(kind, params, rho0)
+    _, l0, slope = evolve._block_family(kind, rho0)
     assert np.array_equal(l0 @ slope, slope @ l0)   # so the product takes the collapse
     state = evolve.nstep_propagate(kind, params, geometry, rho0, t, n)
     reference = _nstep_reference(kind, params, geometry, rho0, t, n)
@@ -392,7 +392,7 @@ def test_exact_propagator_at_tiny_eps(params, rates, eps, t):
     kind = models.OpenCavity(DecayRates.simplified(*rates, eps))
     rho0 = cf.initial_excited_state(Basis.DRESSED)
     state = evolve.nstep_propagate(kind, params, None, rho0, t, 1)
-    _, l0, slope = evolve._block_family(kind, params, rho0)
+    _, l0, slope = evolve._block_family(kind, rho0)
     v = np.zeros(9, dtype=complex)
     v[_BLOCK] = expm((l0 + params.g * slope) * t) @ models.vec(rho0.matrix)[_BLOCK]
     assert np.max(np.abs(state.matrix - models.unvec(v))) <= 1e-12
@@ -471,7 +471,7 @@ def test_nstep_exceptional_factor_in_any_position(params, geometry, j):
     gs = evolve._midpoint_couplings(params.g, geometry, n)
     kind = models.PhenomT0(4.0 * gs[j])   # gamma = 4 g_j: L(g_j) is defective
     rho0 = cf.initial_excited_state(Basis.BARE)
-    _, l0, slope = evolve._block_family(kind, params, rho0)
+    _, l0, slope = evolve._block_family(kind, rho0)
     vecs = np.linalg.eig(l0 + gs[j] * slope)[1]
     assert abs(np.linalg.det(vecs)) < 1e-2   # the factor takes the series
     ts = np.array([200e-6, 430e-6])

@@ -7,9 +7,7 @@ product), so the joins between blocks are pinned too.  Each digest is the
 sha256 of a CSV the current producers write, and
 :func:`test_exact_rows_match_block_expm` checks the values of every case
 but the two ``energy`` ones against scipy's expm of the invariant block of
-|e,0><e,0| (built at omega0 = 1 for the closed-form cases, which do not
-depend on it); the ``energy`` cases write the mean-energy curves, not
-states.  A change in the last bit of any value, or in the sign of a zero,
+|e,0><e,0|; the ``energy`` cases write the mean-energy curves, not states.  A change in the last bit of any value, or in the sign of a zero,
 changes the digest.  The digests were taken with numpy 2.4 and glibc's
 libm on x86-64 Linux (AVX-512); a platform whose exp, cos or hypot rounds
 differently gives other digests.
@@ -23,7 +21,7 @@ import pytest
 
 from rabicav import cli, models
 from rabicav import closed_form as cf
-from rabicav.core import Basis, partial_transpose
+from rabicav.core import partial_transpose
 
 _GRID = ("--end-us", "60", "--step-us", "0.25")
 _DEGENERATE = ("--gamma1", "1000", "--gamma2", "1000", "--gamma3", "46.6")
@@ -88,30 +86,22 @@ def test_csv_is_byte_identical(tmp_path, name):
 
 
 def _exact_case(name, params, geometry, gamma3=None):
-    """The generator and initial state of a case, ``gamma3`` a sweep value.
-
-    The closed-form cases are built at omega0 = 1: none of their columns
-    depends on omega0, and at the real omega0 the block expm rounds the
-    dressed coherence phase, w0/2 +- g, by about 5e-9 at 500 us.
-    """
+    """The generator and initial state of a case, ``gamma3`` a sweep value."""
     if name == "phenom-t":
         kind = models.PhenomT.from_temperature(0.3 * params.g, params)
-        return models.build_liouvillian(kind, params), cf.initial_excited_state(Basis.BARE)
-    if name.startswith("phenom-t0"):
+    elif name.startswith("phenom-t0"):
         kind = models.PhenomT0(1e6 if name.endswith("hyperbolic") else 0.3 * params.g)
-        return models.build_liouvillian(kind, params), cf.initial_excited_state(Basis.BARE)
-    if name.startswith("degenerate"):
+    elif name.startswith("degenerate"):
         kind = models.OpenCavity(models.DecayRates.simplified(1000.0, 1000.0, 46.6, 0.0466))
+    elif name.startswith("microscopic"):
+        kind = models.Microscopic(17.73, 17.73)
     else:
-        if name.startswith("microscopic"):
-            kind = models.Microscopic(17.73, 17.73)
-        else:
-            rates = models.DecayRates.simplified(17.73, 17.73, gamma3 or 0.07 * params.g, 0.0466)
-            kind = models.OpenCavity(rates)
-        params = replace(params, omega0=1.0)
+        rates = models.DecayRates.simplified(17.73, 17.73, gamma3 or 0.07 * params.g, 0.0466)
+        kind = models.OpenCavity(rates)
     if "gaussian" in name:   # the profile enters through the phase coupling
         params = replace(params, g=params.g * geometry.profile_mean)
-    return models.build_liouvillian(kind, params), cf.initial_excited_state(Basis.DRESSED)
+    liou = models.build_liouvillian(kind, params)
+    return liou, cf.initial_excited_state(liou.basis)
 
 
 def _entangle_columns(columns):

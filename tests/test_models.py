@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from rabicav.core import Basis, DensityMatrix, ValidationError
 from rabicav.evolve import CavityGeometry
 from rabicav.models import (
     DecayRates, Microscopic, OpenCavity, PhenomT, PhenomT0, PhysicalParams,
-    build_liouvillian, dressed_transform, kms_ratio, thermal_occupation, vec,
+    build_liouvillian, coupling_superop, dressed_transform, kms_ratio, thermal_occupation, vec,
 )
 from conftest import random_density
 
@@ -111,52 +112,40 @@ def _phenom_dissipator_terms(g, gdn, gup):
     }
 
 
-def _hamiltonian_part(basis_matrix):
-    from rabicav.models import hamiltonian_superop
-    return hamiltonian_superop(basis_matrix)
-
-
-def _split_check(liou, h_matrix, dissipator_terms, rate_scale):
-    """liou == -i[H, .] + dissipator, each part compared at its own scale."""
-    actual_diss = liou.matrix - _hamiltonian_part(h_matrix)
+def _split_check(liou, params, dissipator_terms, rate_scale):
+    """liou == g*L1 + dissipator, each part compared at its own scale."""
+    actual_diss = liou.matrix - params.g * coupling_superop(liou.basis)
     expected_diss = _expected_superop(dissipator_terms)
     assert np.max(np.abs(actual_diss - expected_diss)) <= 1e-12 * max(rate_scale, 1.0)
 
 
 def test_phenom_t0_matches_component_equations(params):
-    from rabicav.models import bare_hamiltonian
     gamma = 0.3 * params.g
     liou = build_liouvillian(PhenomT0(gamma), params)
-    _split_check(liou, bare_hamiltonian(params),
-                 _phenom_dissipator_terms(params.g, gamma, 0.0), gamma)
+    _split_check(liou, params, _phenom_dissipator_terms(params.g, gamma, 0.0), gamma)
 
 
 def test_phenom_t_matches_component_equations(params):
-    from rabicav.models import bare_hamiltonian
     kind = PhenomT.from_temperature(0.3 * params.g, params)
     liou = build_liouvillian(kind, params)
-    _split_check(liou, bare_hamiltonian(params),
-                 _phenom_dissipator_terms(params.g, kind.gamma_down, kind.gamma_up),
+    _split_check(liou, params, _phenom_dissipator_terms(params.g, kind.gamma_down, kind.gamma_up),
                  kind.gamma_down)
 
 
 def test_phenom_hamiltonian_coupling_terms(params):
-    # the -i[H, .] part alone reproduces the ig couplings of the equations
-    from rabicav.models import bare_hamiltonian
+    # g*L1 alone reproduces the ig couplings of the equations
     ig = 1j * params.g
     terms = {
         (0, 0): {(0, 1): ig, (1, 0): -ig},
         (1, 1): {(0, 1): -ig, (1, 0): ig},
         (0, 1): {(0, 0): ig, (1, 1): -ig},
         (1, 0): {(0, 0): -ig, (1, 1): ig},
-        (0, 2): {(0, 2): -1j * params.omega0, (1, 2): -ig},
-        (1, 2): {(1, 2): -1j * params.omega0, (0, 2): -ig},
-        (2, 0): {(2, 0): 1j * params.omega0, (2, 1): ig},
-        (2, 1): {(2, 1): 1j * params.omega0, (2, 0): ig},
+        (0, 2): {(1, 2): -ig},
+        (1, 2): {(0, 2): -ig},
+        (2, 0): {(2, 1): ig},
+        (2, 1): {(2, 0): ig},
     }
-    expected = _expected_superop(terms)
-    actual = _hamiltonian_part(bare_hamiltonian(params))
-    assert np.max(np.abs(actual - expected)) <= 1e-12 * params.omega0
+    assert np.array_equal(params.g * coupling_superop(Basis.BARE), _expected_superop(terms))
 
 
 def test_phenom_t_reduces_to_t0(params):
@@ -166,7 +155,6 @@ def test_phenom_t_reduces_to_t0(params):
 
 
 def test_microscopic_matches_component_equations(params):
-    from rabicav.models import dressed_hamiltonian
     g1, g2 = 0.1 * params.g, 0.05 * params.g
     liou = build_liouvillian(Microscopic(g1, g2), params)
     terms = {
@@ -180,13 +168,12 @@ def test_microscopic_matches_component_equations(params):
         (2, 0): {(2, 0): -g1 / 4},
         (2, 1): {(2, 1): -g2 / 4},
     }
-    _split_check(liou, dressed_hamiltonian(params), terms, g1)
-    # the dressed phases carry the Bohr frequencies 2g, w0 +- g;
-    # the 2g one inherits ulp(w0) from the level-difference cancellation
-    w0, g = params.omega0, params.g
-    for coord, freq in (((0, 1), 2 * g), ((0, 2), w0 + g), ((1, 2), w0 - g)):
+    _split_check(liou, params, terms, g1)
+    # the dressed phases carry the rotating-frame Bohr frequencies 2g, g and -g, exactly
+    g = params.g
+    for coord, freq in (((0, 1), 2 * g), ((0, 2), g), ((1, 2), -g)):
         k = _index(*coord)
-        assert liou.matrix[k, k].imag == pytest.approx(-freq, abs=1e-12 * w0)
+        assert liou.matrix[k, k].imag == -freq
 
 
 def test_open_cavity_reduces_to_microscopic(params):
@@ -200,10 +187,9 @@ def test_unitary_limit_is_pure_commutator(params):
     liou = build_liouvillian(PhenomT0(0.0), params)
     rng = np.random.default_rng(7)
     rho = random_density(rng)
-    from rabicav.models import bare_hamiltonian
-    h = bare_hamiltonian(params)
+    h = params.g * np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])   # g*sigma, bare basis
     expected = -1j * (h @ rho - rho @ h)
-    assert np.max(np.abs(liou.apply(rho) - expected)) <= 1e-20 * params.omega0 + 1e-12 * params.omega0
+    assert np.max(np.abs(liou.apply(rho) - expected)) <= 1e-14 * params.g
 
 
 def test_population_feed_example(params):
@@ -238,6 +224,14 @@ def test_trace_and_hermiticity_preservation(seed):
         assert abs(np.trace(out)) <= 1e-12 * scale
         herm = liou.apply(rho.conj().T)
         assert np.max(np.abs(out.conj().T - herm)) <= 1e-12 * scale
+
+
+def test_generators_do_not_depend_on_omega0(params):
+    doubled = replace(params, omega0=2.0 * params.omega0)
+    for kind in _all_kinds(params):
+        assert np.array_equal(*(build_liouvillian(kind, p).matrix for p in (params, doubled))), kind
+    rates = DecayRates.simplified(17.73, 11.0, 0.07 * params.g, 0.0466)
+    assert np.array_equal(*(cf.damping_basis(rates, p).eigenvalues for p in (params, doubled)))
 
 
 def test_trace_row_is_zero(params):
