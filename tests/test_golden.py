@@ -70,10 +70,10 @@ CASES = {
     "phenom-t": (("simulate", "--model", "phenom-t", *_GRID),
                  "c8d00b5759497ef0b61384ce548716b5b55db2b98d46ec9d1c360da2079cd8be"),
     "degenerate": (("simulate", *_DEGENERATE, *_GRID),
-                   "c2864ee5ac15979b629d0a54980e05b165febb8cc8dfe30becf6ce92d98a580d"),
+                   "8689586e8a8b45dd67d6c3a65a12a8d0cde398f8bef4539b3b088a0629c53487"),
     "degenerate-gaussian": (
         ("simulate", *_DEGENERATE, "--profile", "gaussian", *_GRID),
-        "79172a4f9b5e3003e8e96b62f0988173be8e86778b579d1fd637fc8382c4ffbc"),
+        "db768a524f2e8c19e568ffaa4a5e516e85355449c2bee9cdb0d50dbffb24fc04"),
 }
 
 
