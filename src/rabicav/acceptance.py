@@ -191,7 +191,7 @@ def criterion_8_nstep_convergence() -> CriterionResult:
         states = evolve.nstep_propagate(kind, p, geom, rho0, times, n)
         errors.append(float(np.max(np.abs(models.ground_state_probability(states) - ref))))
     # Discretization saturates at the finite-crossing correction to the
-    # infinite-Gaussian coupling (~3e-9) well before n = 101, so successive
+    # infinite-Gaussian coupling (~4e-9) well before n = 101, so successive
     # errors are compared down to that floor only.
     floor = 1e-7
     monotone = all(errors[i + 1] <= max(errors[i], floor) for i in range(len(errors) - 1))

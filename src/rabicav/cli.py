@@ -270,8 +270,9 @@ def write_csv(path: str | None, header: list[str], rows: np.ndarray) -> None:
     worker formats the second half while this process formats the first, and
     the same block formatter gives the same bytes as one process would.  A
     worker that fails, or cannot be forked, leaves its rows to this process,
-    so it can cost time but not bytes.  A path that cannot be written raises ConfigError (exit 2)
-    and leaves no partial file, even after earlier blocks went out.
+    so it can cost time but not bytes.  A path that cannot be written raises
+    ConfigError (exit 2) and leaves no partial file, even after earlier blocks
+    went out.
     A closed stdout raises BrokenPipeError for :func:`main` to end quietly.
     """
     rows = np.asarray(rows, dtype=float)
