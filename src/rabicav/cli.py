@@ -170,11 +170,13 @@ class RunConfig:
         return models.OpenCavity(self.rates())
 
     def grid_us(self) -> np.ndarray:
-        """start_us, start_us + step_us, ... up to end_us; raises ConfigError
-        naming step_us when the grid has more points than can be allocated."""
+        """start_us, start_us + step_us, ... up to end_us, never past it (a step
+        count within 1e-9 of a whole number counts as whole, so 0.3/0.1 gives
+        three steps); raises ConfigError naming step_us when the grid has more
+        points than can be allocated."""
         steps = (self.end_us - self.start_us) / self.step_us
         try:
-            return self.start_us + self.step_us * np.arange(int(round(steps)) + 1)
+            return self.start_us + self.step_us * np.arange(math.floor(steps * (1.0 + 1e-9)) + 1)
         except (OverflowError, ValueError, MemoryError):
             raise ConfigError(f"config field 'step_us' = {self.step_us!r} gives {steps:.3e} "
                               f"grid steps, too many to allocate") from None

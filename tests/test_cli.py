@@ -886,6 +886,18 @@ def test_davies_check_rejects_overflowing_weights(capsys):
     assert capsys.readouterr().err == "error: spectral weights must be finite and >= 0\n"
 
 
+def test_grid_never_passes_end_us(tmp_path):
+    # 10 / 2.6 is 3.85 steps: the grid stops at 7.8, where rounding ran on to 10.4
+    out = tmp_path / "out.csv"
+    assert run_cli("simulate", "--end-us", "10", "--step-us", "2.6", "-o", str(out)) == 0
+    _, rows = read_csv(out)
+    assert rows[:, 0].tolist() == [0.0, 2.6, 5.2, 7.800000000000001]
+    # a step count that is whole but rounds just below it keeps its last point
+    for end, step, points in ((0.3, 0.1, 4), (0.7, 0.1, 8), (60.0, 0.005, 12001)):
+        grid = cli.RunConfig(end_us=end, step_us=step).grid_us()
+        assert grid.size == points and grid[-1] == pytest.approx(end, rel=1e-12)
+
+
 # Grids numpy refuses before it allocates anything ("Maximum allowed size
 # exceeded"), or whose step count overflows to infinity.
 @pytest.mark.parametrize("end_us", ["2", "1e300"])
