@@ -170,10 +170,8 @@ class RunConfig:
         return models.OpenCavity(self.rates())
 
     def grid_us(self) -> np.ndarray:
-        """start_us, start_us + step_us, ... up to end_us, never past it (a step
-        count within 1e-9 of a whole number counts as whole, so 0.3/0.1 gives
-        three steps); raises ConfigError naming step_us when the grid has more
-        points than can be allocated."""
+        """start_us, start_us + step_us, ... up to end_us, never past it by over 1e-9 of the
+        span; raises ConfigError naming step_us when the grid has too many points to allocate."""
         steps = (self.end_us - self.start_us) / self.step_us
         try:
             return self.start_us + self.step_us * np.arange(math.floor(steps * (1.0 + 1e-9)) + 1)
@@ -374,8 +372,8 @@ def _sweep_rows(config: RunConfig, sweep, worker) -> tuple[list[str], np.ndarray
 
     ``worker(config, ts_us) -> (header, rows)`` is given the grid from some
     row to its end and returns the rows of its first times: one block of
-    :data:`~rabicav.core.BLOCK`, or all of them where the values depend on
-    how many times it is given.  Each block goes into the table as it comes,
+    :data:`~rabicav.core.BLOCK`, or all of them for ``phenom-t``, whose values
+    depend on how many times it is given.  Each block goes into the table as it comes,
     so memory is the table plus one block's states.  A failing state is
     named by its index in the grid, however many blocks came before it.
     """
@@ -408,7 +406,7 @@ def _sweep_rows(config: RunConfig, sweep, worker) -> tuple[list[str], np.ndarray
 
 def _simulate_rows(config: RunConfig, ts_us: np.ndarray) -> tuple[list[str], np.ndarray]:
     """p_g and the state elements at the first block of the times ``ts_us``,
-    or at all of them for the n-step product (see :func:`_sweep_rows`)."""
+    or at all of them for ``phenom-t`` (see :func:`_sweep_rows`)."""
     params = config.params()
     geom = config.geometry() if config.profile == "gaussian" else None
     kind = config.model_kind()
@@ -422,23 +420,23 @@ def _simulate_rows(config: RunConfig, ts_us: np.ndarray) -> tuple[list[str], np.
     if delta_t > 0.0 and geom is None:
         raise ValidationError("time-uncertainty averaging uses the gaussian profile")
 
-    # The closed forms are elementwise in t; the n-step product's matrix
+    # The closed forms are elementwise in t; the phenom-t propagator's matrix
     # products round some rows differently when the number of times changes,
     # so it takes the whole grid and bounds its memory by its factor chunks.
-    if not (name == "phenom-t" or (name == "phenom-t0" and geom is not None)):
+    if name != "phenom-t":
         ts_us = ts_us[:BLOCK]
     ts = ts_us * 1e-6
-    if name == "phenom-t0" and geom is None:
-        rho = cf.phenom_T0_rho(params.g, kind.gamma, ts)
-    elif name == "microscopic" and geom is None:
-        rho = cf.microscopic_rho(params.g, kind.gamma1, kind.gamma2, ts)
+    n = config.nstep if geom else 1   # frozen-coupling factors of the photon models
+    if name == "phenom-t0":
+        rho = cf.phenom_T0_rho(params.g, kind.gamma, ts, geom, n)
     elif name == "open-cavity":
         rho = cf.opencavity_rho(kind.rates, config.eps, params, ts, geometry=geom)
-    elif name == "microscopic":  # gaussian profile, exact closed form
-        rho = cf.microscopic_rho(params.g * geom.profile_mean, kind.gamma1, kind.gamma2, ts)
-    else:  # phenom-t, or phenom-t0 with the gaussian profile: n-step product, exact at n = 1
+    elif name == "microscopic":  # exact under the gaussian profile at its mean coupling
+        g = params.g * geom.profile_mean if geom else params.g
+        rho = cf.microscopic_rho(g, kind.gamma1, kind.gamma2, ts)
+    else:  # phenom-t: n-step product, exact at n = 1
         rho0 = cf.initial_excited_state(Basis.BARE)
-        rho = evolve.nstep_propagate(kind, params, geom, rho0, ts, config.nstep if geom else 1)
+        rho = evolve.nstep_propagate(kind, params, geom, rho0, ts, n)
 
     pg = models.ground_state_probability(rho)
     pg_conv = (dephase.convolve_pg(kind.rates, config.eps, params, geom, delta_t, ts)

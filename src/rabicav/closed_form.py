@@ -1,7 +1,6 @@
 """Analytic solutions of the four models.
 
-The T = 0 photon-loss state is one real formula in entire functions of
-d^2 = gamma^2 - 16 g^2, so critical damping gamma = 4g needs no special case.
+The T = 0 photon-loss state comes from one no-jump amplitude, entire in d^2 = gamma^2 - 16 g^2.
 
 The open-cavity model is solved through its damping basis: the generator's
 nine eigenoperators are known in closed form, the initial state |e,0><e,0|
@@ -24,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Basis, DensityMatrix, ValidationError, elementwise, time_grid
-from .evolve import CavityGeometry, SQRT_PI, _block_family
+from .core import BLOCK, Basis, DensityMatrix, ValidationError, elementwise, time_grid
+from .evolve import CavityGeometry, SQRT_PI, _block_family, _midpoint_couplings
 from .models import (
     DecayRates, OpenCavity, PhysicalParams, _unit, dressed_hamiltonian, unvec, vec,
 )
@@ -206,45 +205,45 @@ def _dphi_ddelta_t(z: complex, delta_t: float) -> complex:
 # Photon-loss model at T = 0
 # ---------------------------------------------------------------------------
 
-def phenom_T0_rho(g: float, gamma: float, t) -> DensityMatrix:
+def phenom_T0_rho(g: float, gamma: float, t, geometry: CavityGeometry | None = None,
+                  n: int = 1) -> DensityMatrix:
     """State of the T = 0 photon-loss model started from |e,0><e,0|.
 
     ``t`` is a time or a 1-D array of times (one state per time, stacked).
-    With d^2 = gamma^2 - 16 g^2 and x = d^2 t^2/4, every entry is built from
-    three entire functions of x, each times exp(-gamma t/2): C = cosh(sqrt x),
-    S = sinh(sqrt x)/sqrt x and D = (C - 1)/x = S(x/4)^2/2, so
-
-        rho_22 = 2 g^2 t^2 D,   rho_11 = C + (gamma t/2) S + rho_22,
-        Im rho_12 = g t (S + gamma t D/2),   rho_33 = 1 - rho_11 - rho_22,
-
-    and the critically damped point gamma = 4g is an ordinary one.  Under
-    strong coupling (d^2 < 0) C is cos(w) and S is sin(w)/w with w = |d| t/2,
-    and the populations oscillate.  For d^2 >= 0 the common factor
-    exp(-(gamma - d) t/2), with gamma - d = 16 g^2/(gamma + d), comes out in
-    front and the rest is written with expm1(-d t), so no large gamma t forms
-    0 * inf; an overdamped state (d^2 > 0) is tagged ``"hyperbolic"``.
+    The jump a only feeds |g,0>, so the state is psi psi^H on (|e,0>, |g,1>)
+    plus 1 - |psi|^2 on |g,0>, with the no-jump psi' = A psi, A = [[0, -ig],
+    [-ig, -gamma/2]] (Dalibard, Castin & Molmer, PRL 68, 580 (1992)), over n
+    factors at :func:`rabicav.evolve.nstep_propagate`'s couplings g_j (all g
+    without ``geometry``, exact at n = 1).  With d^2 = gamma^2 - 16 g^2,
+    exp(A tau) = e^{-gamma tau/4} [cosh(d tau/4) I + tau sinhc(d tau/4) (A +
+    gamma/4 I)] is entire in d^2, so gamma = 4 g_j is an ordinary point.  It
+    is written through the mode rates (gamma -+ d)/4 and expm1, so no large
+    gamma tau forms 0 * inf, and each factor adds (exp(A tau) - I) psi, so
+    entries next to 1 do not round alike in every factor.  The states are
+    tagged ``"hyperbolic"`` when every factor is overdamped, gamma > 4 max g_j.
     """
     ts = time_grid(t)
     if not (g > 0 and gamma >= 0):   # a NaN fails too
         raise ValidationError("need g > 0, gamma >= 0")
-    d2 = gamma * gamma - 16.0 * g * g
-    if not math.isfinite(d2):
+    if not math.isfinite(gamma * gamma - 16.0 * g * g):
         raise ValidationError(f"gamma = {gamma!r} is too large: the closed form overflows")
-    if d2 < 0.0:
-        w = math.sqrt(-d2) * ts / 2.0
-        decay, c = np.exp(-gamma * ts / 2.0), np.cos(w)
-        s, h = (np.divide(np.sin(y), y, out=np.ones_like(y), where=y > 0) for y in (w, w / 2.0))
-    else:
-        delta = math.sqrt(d2)
-        u = delta * ts
-        decay, c = np.exp(-8.0 * g * g / (gamma + delta) * ts), 0.5 * (1.0 + np.exp(-u))
-        s, h = (np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y > 0) for y in (u, u / 2.0))
-    c, s, d = decay * c, decay * s, 0.5 * decay * h * h
-    r22 = 2.0 * g * g * ts * ts * d
-    r11 = c + 0.5 * gamma * ts * s + r22
-    m01 = 1j * (g * ts * (s + 0.5 * gamma * ts * d))
-    return _state(np.column_stack([r11, r22, 1.0 - r11 - r22]), m01, -m01, Basis.BARE, t,
-                  "hyperbolic" if d2 > 0 else None)
+    gs = _midpoint_couplings(g, geometry, n)
+    tau, chunk = ts / gs.size, max(1, BLOCK // max(ts.size, 1))
+    x, y = np.ones(ts.size), np.zeros(ts.size)   # psi = (x, -iy), x and y real
+    for lo in range(0, gs.size, chunk):
+        gj = gs[lo:lo + chunk, None]
+        r = np.sqrt(gamma * gamma - 16.0 * gj * gj + 0j)
+        slow, fast, u = 4.0 * gj * gj / (gamma + r) * tau, 0.25 * (gamma + r) * tau, 0.5 * r * tau
+        cosh1 = (0.5 * (np.expm1(-slow) + np.expm1(-fast))).real
+        # h = 1 to the last bit below |u| = 1e-300, where numpy's complex division overflows
+        h = np.divide(-np.expm1(-u), u, out=np.ones_like(u), where=abs(u) > 1e-300)
+        sinhc = (np.exp(-slow) * h).real * tau
+        e11, e22, e21 = cosh1 + 0.25 * gamma * sinhc, cosh1 - 0.25 * gamma * sinhc, gj * sinhc
+        for a, d, c in zip(e11, e22, e21):
+            x, y = x + (a * x - c * y), y + (c * x + d * y)
+    m01, gmax = 1j * (x * y), gs.max()
+    return _state(np.column_stack([x * x, y * y, 1.0 - x * x - y * y]), m01, -m01, Basis.BARE,
+                  t, "hyperbolic" if gamma * gamma - 16.0 * gmax * gmax > 0 else None)
 
 
 # ---------------------------------------------------------------------------

@@ -228,17 +228,24 @@ def _expm_rows(a: np.ndarray, dt: np.ndarray) -> np.ndarray:
     return result
 
 
-def _midpoint_couplings(g_peak: float, geom: CavityGeometry, n: int) -> np.ndarray:
-    """Profile couplings at the crossing fractions (j + 1/2)/n, j = 0..n-1.
+def _midpoint_couplings(g_peak: float, geom: CavityGeometry | None, n) -> np.ndarray:
+    """Couplings at the crossing fractions (j + 1/2)/n, j = 0..n-1 (g_peak without ``geom``).
 
     The first half is evaluated and mirrored onto the second, so positions
     symmetric about the center get bit-equal couplings (evaluating
     1 - (j + 1/2)/n directly does not round symmetrically).
     """
-    half = (n + 1) // 2
-    gs = np.empty(n)
-    gs[:half] = gaussian_coupling(g_peak, geom, 1.0, (np.arange(half) + 0.5) / n)
-    gs[n - half:] = gs[:half][::-1]
+    try:   # any integer >= 1, numpy's too, but not a bool
+        n = 0 if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise ValidationError("n must be a positive integer")
+    gs = np.full(n, g_peak)
+    if geom is not None:
+        half = (n + 1) // 2
+        gs[:half] = gaussian_coupling(g_peak, geom, 1.0, (np.arange(half) + 0.5) / n)
+        gs[n - half:] = gs[:half][::-1]
     return gs
 
 
@@ -279,14 +286,8 @@ def nstep_propagate(kind: ModelKind, params: PhysicalParams,
     in slices of ``BLOCK // k`` couplings (k the block size), so only the
     eigenvectors grow with n.  At n = 1 this is (e^{lambda t} * (x V^-T)) V^T.
     """
-    try:   # any integer, numpy's too, but not a bool
-        n = 0 if isinstance(n, bool) else operator.index(n)
-    except TypeError:
-        n = 0
-    if n < 1:
-        raise ValidationError("n must be a positive integer")
-    ts = time_grid(t)
-    gs = np.full(n, params.g) if geom is None else _midpoint_couplings(params.g, geom, n)
+    gs, ts = _midpoint_couplings(params.g, geom, n), time_grid(t)
+    n = gs.size
     block, l0, slope = _block_family(kind, rho0)
     if np.ptp(gs) > 0 and np.array_equal(l0 @ slope, slope @ l0):
         # a constant profile keeps g itself: fsum(n*g)/n can be one ulp off it

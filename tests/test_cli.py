@@ -118,6 +118,36 @@ def test_simulate_phenom_gaussian_uses_nstep(tmp_path, params):
     assert rows[-1][1] == pytest.approx(models.ground_state_probability(state), abs=1e-12)
 
 
+def test_simulate_phenom_t0_takes_the_amplitude_product(tmp_path, monkeypatch, params, geometry):
+    # both profiles, and blocks of 4096 rows give the rows of the whole grid bit for bit
+    def generic(*args, **kwargs):
+        raise AssertionError("phenom-t0 took the generic n-step product")
+    monkeypatch.setattr(evolve, "nstep_propagate", generic)
+    for profile in ("constant", "gaussian"):
+        out = tmp_path / f"{profile}.csv"
+        assert run_cli("simulate", "--model", "phenom-t0", "--profile", profile,
+                       "--end-us", "430", "--step-us", "0.1", "--nstep", "37",
+                       "-o", str(out)) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 4301
+        whole = cf.phenom_T0_rho(params.g, 0.3 * params.g, rows[:, 0] * 1e-6,
+                                 geometry if profile == "gaussian" else None,
+                                 37 if profile == "gaussian" else 1).matrix
+        assert rows[:, 3:6].tobytes() == whole[:, [0, 1, 2], [0, 1, 2]].real.tobytes()
+        assert rows[:, 7].tobytes() == whole[:, 0, 1].imag.tobytes()
+
+
+def test_simulate_phenom_t0_zeno_populations_are_squares(tmp_path):
+    # the generic eig product gave rho_22 = -2.1e-16 and trace defects up to
+    # 4.8e-10 here, and exited 3 at 391 us (Hermiticity defect 1.002e-9)
+    out = tmp_path / "zeno.csv"
+    assert run_cli("simulate", "--model", "phenom-t0", "--profile", "gaussian",
+                   "--gamma", "1e12", "-o", str(out)) == 0
+    _, rows = read_csv(out)
+    pops = rows[:, 3:6]
+    assert np.all(pops >= 0.0) and np.max(np.abs(pops.sum(axis=1) - 1.0)) <= 1e-15
+
+
 def test_simulate_phenom_gaussian_small_nstep_keeps_the_budget(tmp_path):
     out = tmp_path / "n37.csv"
     assert run_cli("simulate", "--model", "phenom-t0", "--profile", "gaussian",

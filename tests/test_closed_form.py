@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from rabicav import closed_form as cf
 from rabicav import dephase, evolve, models
-from rabicav.core import Basis, ValidationError
+from rabicav.core import BLOCK, Basis, ValidationError
 
 
 def _rk_state(kind, params, t, rtol=1e-11, atol=1e-13):
@@ -101,6 +102,78 @@ def test_phenom_matches_block_expm(params, block_expm, gamma, t):
     liou = models.build_liouvillian(models.PhenomT0(gamma), params)
     expected = block_expm(liou, cf.initial_excited_state(Basis.BARE), [t])[0, 1:]
     assert np.max(np.abs(np.array(got) - expected)) <= 1e-13
+
+
+_GEOM = evolve.CavityGeometry(waist=5.96e-3, diameter=50e-3)
+_G101 = evolve._midpoint_couplings(_G, _GEOM, 101)
+
+
+@st.composite
+def _gamma_and_n(draw):
+    """(gamma, n): gamma log-uniform in [1, 1e9] or 0, or next to 4 g_j for a factor j."""
+    n = draw(st.integers(1, 101))
+    if draw(st.booleans()):
+        return draw(st.just(0.0) | st.floats(0.0, 9.0).map(lambda e: 10.0 ** e)), n
+    j = draw(st.integers(0, n - 1))
+    g_j = evolve._midpoint_couplings(_G, _GEOM, n)[j]
+    return draw(st.builds(lambda k, sign: 4.0 * g_j * (1.0 + sign * 10.0 ** -k),
+                          st.integers(3, 12), st.sampled_from([-1.0, 1.0]))), n
+
+
+def _mp_product(gamma, t, couplings):
+    """(x, y) of psi = (x, -iy) after the factors exp(A(g_j) t/n), each a 40-digit expm."""
+    with mpmath.workdps(40):
+        tau, v = mpmath.mpf(t) / len(couplings), mpmath.matrix([[1], [0]])
+        for g_j in couplings.tolist():
+            a = mpmath.matrix([[0, -g_j], [g_j, -mpmath.mpf(gamma) / 2]])
+            v = mpmath.expm(a * tau) @ v
+        return float(v[0]), float(v[1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_gamma_and_n(), t=st.floats(0.0, 500e-6, allow_subnormal=False))
+@example(case=(4.0 * _G101[50] * (1.0 + 1e-9), 101), t=430e-6)   # next to the peak factor's
+@example(case=(4.0 * _G101[50] * (1.0 - 1e-9), 101), t=430e-6)   # critical point
+@example(case=(4.0 * _G101[0] * (1.0 + 1e-12), 101), t=200e-6)   # an edge factor's
+@example(case=(4.0 * _G101[50], 101), t=150e-6)
+@example(case=(0.0, 101), t=500e-6)
+@example(case=(1e12, 101), t=430e-6)
+@example(case=(1e12, 1), t=1e-6)
+@example(case=(0.0, 6), t=2.2250738585072014e-308)   # subnormal u: numpy's division overflowed
+def test_phenom_product_matches_mpmath_product(params, case, t):
+    gamma, n = case
+    m = cf.phenom_T0_rho(params.g, gamma, t, _GEOM, n).matrix
+    x, y = _mp_product(gamma, t, evolve._midpoint_couplings(params.g, _GEOM, n))
+    expected = [x * x, y * y, 1.0 - x * x - y * y, 0.0, x * y]
+    got = [m[0, 0].real, m[1, 1].real, m[2, 2].real, m[0, 1].real, m[0, 1].imag]
+    assert np.max(np.abs(np.array(got) - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("rows", [BLOCK, 256])
+def test_phenom_product_is_elementwise_in_t(params, rows):
+    # chunks of BLOCK // len(t) factors: 1 for the whole grid, 16 for 256 rows,
+    # 19 for the last 205
+    ts = np.linspace(0.0, 430e-6, 4301)
+    whole = cf.phenom_T0_rho(params.g, 0.3 * params.g, ts, _GEOM, 201)
+    parts = [cf.phenom_T0_rho(params.g, 0.3 * params.g, ts[lo:lo + rows], _GEOM, 201)
+             for lo in range(0, ts.size, rows)]
+    assert whole.matrix.tobytes() == np.concatenate([p.matrix for p in parts]).tobytes()
+
+
+def test_phenom_product_populations_are_squares(params):
+    # the Zeno regime, where the generic eig product gave rho_22 = -2.1e-16
+    rho = cf.phenom_T0_rho(params.g, 1e12, np.linspace(0.0, 430e-6, 431), _GEOM, 2001)
+    pops = rho.matrix[:, [0, 1, 2], [0, 1, 2]].real
+    assert np.all(pops >= 0.0) and np.max(np.abs(pops.sum(axis=1) - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("gamma_over_peak, note", [(3.0, None), (4.0, None),
+                                                   (4.0 * (1 + 1e-12), "hyperbolic")])
+def test_phenom_product_is_hyperbolic_when_every_factor_is(params, gamma_over_peak, note):
+    # 3 g_peak overdamps the edge factors only; 4 g_peak leaves the peak factor critical
+    n = 101
+    gamma = gamma_over_peak * evolve._midpoint_couplings(params.g, _GEOM, n).max()
+    assert cf.phenom_T0_rho(params.g, gamma, 1e-5, _GEOM, n).note == note
 
 
 # ---------------------------------------------------------------------------

@@ -429,13 +429,16 @@ def test_phenom_products_never_collapse(params, geometry, eig_batches, model):
     assert sum(eig_batches) == 19   # one generator per distinct coupling
 
 
-def test_nstep_validation(params, paper_rates):
+def test_nstep_validation(params, paper_rates, geometry):
+    # one check serves the generic product and the phenom-t0 amplitude product
     kind = models.OpenCavity(paper_rates)
     rho0 = cf.initial_excited_state(Basis.DRESSED)
     for n in (0, -3, 2.5, 3.0, np.float64(3.0), True, False, np.bool_(True), "3", None,
               np.array([3])):
         with pytest.raises(ValidationError, match="n must be a positive integer"):
             evolve.nstep_propagate(kind, params, None, rho0, 1e-5, n)
+        with pytest.raises(ValidationError, match="n must be a positive integer"):
+            cf.phenom_T0_rho(params.g, 0.3 * params.g, 1e-5, geometry, n)
 
 
 @pytest.mark.parametrize("n", [np.int64(3), np.uint8(3), np.int32(3)])
@@ -445,16 +448,19 @@ def test_nstep_accepts_numpy_integers(params, paper_rates, geometry, n):
     state = evolve.nstep_propagate(kind, params, geometry, rho0, 1e-5, n)
     assert np.array_equal(state.matrix,
                           evolve.nstep_propagate(kind, params, geometry, rho0, 1e-5, 3).matrix)
+    amplitude = cf.phenom_T0_rho(params.g, 0.3 * params.g, 1e-5, geometry, n)
+    assert np.array_equal(amplitude.matrix,
+                          cf.phenom_T0_rho(params.g, 0.3 * params.g, 1e-5, geometry, 3).matrix)
 
 
 def test_nstep_chunks_match_per_factor_solves(params, paper_rates, geometry):
     # three times: chunks of BLOCK // 3 = 1365 factors, so 4099 factors take four
-    # (phenom-t0 takes them; the open-cavity product collapses to one factor)
+    # (phenom-t takes them; the open-cavity product collapses to one factor)
     ts = np.array([20e-6, 150e-6, 430e-6])
     n = 4099
     assert n > 3 * (BLOCK // ts.size)
     for kind, basis in ((models.OpenCavity(paper_rates), Basis.DRESSED),
-                        (models.PhenomT0(0.3 * params.g), Basis.BARE)):
+                        (models.PhenomT.from_temperature(0.3 * params.g, params), Basis.BARE)):
         rho0 = cf.initial_excited_state(basis)
         stack = evolve.nstep_propagate(kind, params, geometry, rho0, ts, n)
         for t, state in zip(ts, stack.matrix):
@@ -484,7 +490,7 @@ def test_nstep_exceptional_factor_in_any_position(params, geometry, j):
 def test_nstep_memory_stays_bounded(params, paper_rates, geometry):
     times = (150e-6, 430e-6)
     for kind, basis in ((models.OpenCavity(paper_rates), Basis.DRESSED),
-                        (models.PhenomT0(0.3 * params.g), Basis.BARE)):
+                        (models.PhenomT.from_temperature(0.3 * params.g, params), Basis.BARE)):
         rho0 = cf.initial_excited_state(basis)
         evolve.nstep_propagate(kind, params, geometry, rho0, times, 101)
         tracemalloc.start()
