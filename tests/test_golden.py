@@ -2,7 +2,7 @@
 
 Most cases run on small grids of one block.  The ``-multi-block`` cases
 span two or three blocks of :data:`~rabicav.core.BLOCK` rows with a partial
-last one (12 001 rows; 6001 per value for the sweep; 4301 for the n-step
+last one (12 001 rows; 6001 per value for the sweep; 4301 for the phenom-t0
 product), so the joins between blocks are pinned too.  Each digest is the
 sha256 of a CSV the current producers write, and
 :func:`test_exact_rows_match_block_expm` checks the values of every case
@@ -55,10 +55,10 @@ CASES = {
         ("simulate", "--sweep", "gamma3=2000:20000:3", "--end-us", "60", "--step-us", "0.01"),
         "e124f0c6400de65dca86b45989ff02f4c1f6b2f543ec6375fdb70295df508e94"),
     "phenom-t0": (("simulate", "--model", "phenom-t0", *_GRID),
-                  "5826a08bf7e330838d32747bcaa53fd5ec313b54b49620676953bd33c7a47334"),
+                  "53733e64b8e3bc2b273e268634492d60dc2447ae8cc18cb94defc6c8928029d7"),
     "phenom-t0-hyperbolic": (
         ("simulate", "--model", "phenom-t0", "--gamma", "1e6", *_GRID),
-        "20252b6e472845af9ded90dac34598c2924a0f93aaba8b5a47fbdf4f213f16c0"),
+        "4efdede5cee454d865e7b39ed22598028d5f79152e15537fcec7c9a8efe37ea8"),
     "microscopic": (("simulate", "--model", "microscopic", *_GRID),
                     "fb489996779ad1bd0932d6ebd6af5b3ad8d7aad18967ccffda35b9e152a638ea"),
     "microscopic-gaussian": (
@@ -66,7 +66,7 @@ CASES = {
         "9a6fc27258b9ed04d450f3bb5800de4cdc500c915a8f7364c1d79cd67b241ca1"),
     "phenom-t0-gaussian-multi-block": (
         ("simulate", "--model", "phenom-t0", "--profile", "gaussian", "--step-us", "0.1"),
-        "747f709d2d71dc41be462e87466a57d5043d879a07252e50a97b51b58f1a1690"),
+        "4f798b108ac814ad5bdf1062d26e72657df37f26100f4cd1d343b4613b8d203d"),
     "phenom-t": (("simulate", "--model", "phenom-t", *_GRID),
                  "c8d00b5759497ef0b61384ce548716b5b55db2b98d46ec9d1c360da2079cd8be"),
     "degenerate": (("simulate", *_DEGENERATE, *_GRID),
