@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rabicav import closed_form as cf
 from rabicav import dephase, evolve, models
-from rabicav.core import BLOCK, Basis, ValidationError
+from rabicav.core import Basis, ValidationError
 
 
 def _rk_state(kind, params, t, rtol=1e-11, atol=1e-13):
@@ -147,24 +147,6 @@ def test_phenom_product_matches_mpmath_product(params, case, t):
     expected = [x * x, y * y, 1.0 - x * x - y * y, 0.0, x * y]
     got = [m[0, 0].real, m[1, 1].real, m[2, 2].real, m[0, 1].real, m[0, 1].imag]
     assert np.max(np.abs(np.array(got) - expected)) <= 1e-13
-
-
-@pytest.mark.parametrize("rows", [BLOCK, 256])
-def test_phenom_product_is_elementwise_in_t(params, rows):
-    # chunks of BLOCK // len(t) factors: 1 for the whole grid, 16 for 256 rows,
-    # 19 for the last 205
-    ts = np.linspace(0.0, 430e-6, 4301)
-    whole = cf.phenom_T0_rho(params.g, 0.3 * params.g, ts, _GEOM, 201)
-    parts = [cf.phenom_T0_rho(params.g, 0.3 * params.g, ts[lo:lo + rows], _GEOM, 201)
-             for lo in range(0, ts.size, rows)]
-    assert whole.matrix.tobytes() == np.concatenate([p.matrix for p in parts]).tobytes()
-
-
-def test_phenom_product_populations_are_squares(params):
-    # the Zeno regime, where the generic eig product gave rho_22 = -2.1e-16
-    rho = cf.phenom_T0_rho(params.g, 1e12, np.linspace(0.0, 430e-6, 431), _GEOM, 2001)
-    pops = rho.matrix[:, [0, 1, 2], [0, 1, 2]].real
-    assert np.all(pops >= 0.0) and np.max(np.abs(pops.sum(axis=1) - 1.0)) <= 1e-15
 
 
 @pytest.mark.parametrize("gamma_over_peak, note", [(3.0, None), (4.0, None),
