@@ -246,8 +246,8 @@ def criterion_10_damping_basis() -> CriterionResult:
         worst = max(worst, float(defect) / (1.0 + abs(lam)))
     lam1_ok = basis.eigenvalues[0] == 0.0
     # Degenerate gap: gamma1 = gamma2 with gamma3 = eps*gamma1 makes S = 0;
-    # the closed forms must route to the numeric fallback and stay within the
-    # oracle tolerance.
+    # the state must route to the numeric fallback and the curve, the limit of
+    # its coincident pair, stay within the oracle tolerance.
     g1 = 1000.0
     degen = models.DecayRates.simplified(g1, g1, EPS_PAPER * g1, EPS_PAPER)
     state = cf.opencavity_rho(degen, EPS_PAPER, p, 100e-6)

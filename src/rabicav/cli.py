@@ -448,10 +448,14 @@ def _simulate_rows(config: RunConfig, ts_us: np.ndarray) -> tuple[list[str], np.
                                     m[:, 2, 2].real, m[:, 0, 1].real, m[:, 0, 1].imag])
 
 
+def _require_open_cavity(config: RunConfig, what: str) -> None:
+    if config.model != "open-cavity":
+        raise ValidationError(f"{what} defined for the open-cavity model")
+
+
 def _energy_rows(config: RunConfig, ts_us: np.ndarray) -> tuple[list[str], np.ndarray]:
     """The mean energy, sharp and smeared, at the first block of the times ``ts_us``."""
-    if config.model != "open-cavity":
-        raise ValidationError("energy curves are defined for the open-cavity model")
+    _require_open_cavity(config, "energy curves are")
     params = config.params()
     rates = config.rates()
     delta_t = config.delta_t_us * 1e-6
@@ -465,8 +469,7 @@ def _energy_rows(config: RunConfig, ts_us: np.ndarray) -> tuple[list[str], np.nd
 def _entangle_rows(config: RunConfig, ts_us: np.ndarray) -> tuple[list[str], np.ndarray]:
     """The partial-transpose spectrum and the |e,0><g,1| coherence at the
     first block of the times ``ts_us``."""
-    if config.model != "open-cavity":
-        raise ValidationError("the separability analysis is defined for the open-cavity model")
+    _require_open_cavity(config, "the separability analysis is")
     params = config.params()
     geom = config.geometry() if config.profile == "gaussian" else None
     ts_us = ts_us[:BLOCK]
@@ -489,6 +492,7 @@ def cmd_tabulate(args) -> int:
 
 def cmd_fit_rabi(args) -> int:
     config = RunConfig.load(args)
+    _require_open_cavity(config, "Rabi-curve fits are")
     convention = fitting.TimeConvention(config.time_convention)
     series = ingest_series(args.data, convention)
     params = config.params()
@@ -514,6 +518,7 @@ def cmd_fit_rabi(args) -> int:
 
 def cmd_fit_q(args) -> int:
     config = RunConfig.load(args)
+    _require_open_cavity(config, "quality-factor fits are")
     params = config.params()
     geom = config.geometry()
     rates = config.rates()

@@ -5,13 +5,15 @@ The T = 0 photon-loss state comes from one no-jump amplitude, entire in d^2 = ga
 The open-cavity model is solved through its damping basis: the generator's
 nine eigenoperators are known in closed form, the initial state |e,0><e,0|
 decomposes over five of them, and the evolution is a plain sum of decaying
-exponentials, so every curve is one :class:`ExpSum`.  Degenerate parameter
-combinations (vanishing eigenvalue gap or vanishing decomposition
-denominators) have removable singularities that the formulas do not resolve;
-those inputs go to an exact propagator on the invariant block of |e,0><e,0|,
-tagged ``"fallback"``, whose five eigenvalues give the curves' sums.  The
-states take that path also close to those singularities, where the
-decomposition loses precision.
+exponentials, so every curve is one :class:`ExpSum`.  The states'
+decomposition has removable singularities that it does not resolve (a
+vanishing eigenvalue gap S or vanishing denominators); there, and close to
+them where it loses precision, the states come from an exact propagator on
+the invariant block of |e,0><e,0|, tagged ``"fallback"``.  The curves'
+coefficients stay bounded as S vanishes and take the limit of their
+coincident pair at S = 0, so only S^2 < 0 outside the vanishing band (rates
+that meet the thermal simplification within its tolerance alone) sums the
+curves over the block's five eigenvalues.
 """
 
 from __future__ import annotations
@@ -94,14 +96,13 @@ class ExpSum:
     def slopes(self, delta_t: float, t, wrt_delta_t: bool = False):
         """:meth:`smeared` and its derivatives: the values and a (P, N) array
         of columns, one per row of ``dc`` and ``dz`` and, with
-        ``wrt_delta_t``, a last one for delta_t; the columns are None when
-        ``dc`` is.
+        ``wrt_delta_t``, a last one for delta_t.
 
         Each column is Re sum_k (dc_k + c_k t dphi_k) e^{phi_k t}, formed from
         the exponentials that give the values, which are those of
         :meth:`smeared` bit for bit.
         """
-        return self._sum(t, _spread(delta_t), self.dc is not None, wrt_delta_t)
+        return self._sum(t, _spread(delta_t), True, wrt_delta_t)
 
     def _sum(self, t, delta_t: float, columns: bool = False, wrt_delta_t: bool = False):
         """The sum at ``t``, sharp for ``delta_t == 0``, else smeared, and its
@@ -289,9 +290,10 @@ class DampingBasis:
     ``components`` holds the rows (x_i, y_i, z_i), i = 1..3, of the
     population-sector eigenoperators rho_i = x_i|O+><O+| + y_i|O-><O-| +
     z_i|O0><O0| in the normalization fixed by the closed-form coefficient
-    expressions.  ``s_value`` is the eigenvalue gap parameter; when it is
-    smaller than 1e-12 times the total rate the basis is flagged degenerate
-    and callers must use the numeric fallback.
+    expressions.  ``s_value`` is the eigenvalue gap parameter; when |S| is at
+    most 1e-12 times the total rate the basis is flagged degenerate: the
+    states take the numeric fallback there, the curves the limit of their
+    coincident pair.
     """
 
     eigenvalues: np.ndarray       # shape (9,), complex
@@ -494,57 +496,76 @@ def opencavity_rho(rates: DecayRates, eps: float, params: PhysicalParams,
 
 
 def _population_decay(rates: DecayRates, eps: float):
-    """Gap S and the decay rates kp, km; None for a vanishing gap.  kp, km equal
-    -eigenvalues[1:3] but are formed in the rounding the curve digests pin.
+    """Gap S, the decay rates kp, km and whether S vanishes (:func:`_gap`); None
+    where S^2 < 0 outside that band.  kp, km equal -eigenvalues[1:3] but are
+    formed in the rounding the curve digests pin.
 
     Under the exact simplification S^2 >= 0; rates that meet it only within
-    its tolerance may give S^2 < 0 next to S = 0, which counts as vanishing.
+    its tolerance may give S^2 < 0 next to S = 0.  Inside the band such an S
+    counts as |S|: the curves are entire in S^2, so that moves them by O(S^2).
     """
     _check_simplified(rates, eps)
-    s, degenerate = _gap(rates)
-    if degenerate or isinstance(s, complex):
-        return None
+    s, vanishing = _gap(rates)
+    if isinstance(s, complex):
+        if not vanishing:
+            return None
+        s = abs(s)
     g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
     total = g1 + g2 + 2.0 * g3 + eps * (g1 + g2)
-    return s, (total + s) / 4.0, (total - s) / 4.0
+    return s, (total + s) / 4.0, (total - s) / 4.0, vanishing
 
 
 def _pg_sum(rates: DecayRates, eps: float, params: PhysicalParams, t,
             geometry: CavityGeometry | None,
             along: Sequence[tuple[float, float, float]] | None = None) -> ExpSum:
     """The ground-state probability as an :class:`ExpSum`: two population
-    exponentials and the Rabi term, or the fallback spectrum.
+    exponentials and the Rabi term, or the fallback spectrum where S^2 < 0
+    outside the vanishing band.
+
+    With S^2 = base^2 + (1 + 2 eps)(gamma1 - gamma2)^2, |base| <= S, so the
+    pair's coefficients (base/S -+ 1)/(4 (2 eps + 1)) are bounded; at S = 0
+    both exponentials coincide and base/S := 0 gives their limit.
 
     For each direction (u1, u2, u3) in ``along``, the closed form also
     carries the derivatives of c and z along u1 d/dgamma1 + u2 d/dgamma2 +
-    u3 d/dgamma3 under the thermal simplification; the fallback spectrum
-    carries none.
+    u3 d/dgamma3 under the thermal simplification; the fallback spectrum,
+    which :meth:`DecayRates.simplified` rates do not reach, carries none.
     """
     decay = _population_decay(rates, eps)
     if decay is None:
         # 1 - Tr(P rho) with P = |e,0><e,0|, as Tr(A rho) = vec(A^T) . vec(rho)
         _, lam, modes = _fallback(rates, params, t, geometry)
         return ExpSum(1.0, -vec(_DRESSED_INITIAL.T) @ modes, lam)
-    s, kp, km = decay
+    s, kp, km, vanishing = decay
     g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
     base = 2.0 * g3 - eps * (g1 + g2)
-    norm = 4.0 * s * (2.0 * eps + 1.0)
+    if s:
+        norm = 4.0 * s * (2.0 * eps + 1.0)
+        c = np.array([(base - s) / norm, -(base + s) / norm, -0.5])
+    else:
+        c = np.array([-0.25 / (2.0 * eps + 1.0)] * 2 + [-0.5])
     gamma4 = (g1 + g2 + 2.0 * g3) / 4.0
-    c = np.array([(base - s) / norm, -(base + s) / norm, -0.5])
     z = np.array([-kp, -km, complex(-gamma4, 2.0 * _phase_coupling(params, geometry))])
     if along is None:
         return ExpSum(opencavity_pg_asymptote(eps), c, z)
-    # S^2 = base^2 + (1 + 2 eps)(gamma1 - gamma2)^2.  At gamma1 = gamma2, base/S
-    # is +-1 exactly, so along u1 = u2 a coefficient that is 0 has dc = 0 too.
-    ratio, skew = base / s, (1.0 + 2.0 * eps) * (g1 - g2) / s
+    if not vanishing:
+        # at gamma1 = gamma2, base/S is +-1 exactly, so along u1 = u2 a
+        # coefficient that is 0 has dc = 0 too
+        ratio, skew = base / s, (1.0 + 2.0 * eps) * (g1 - g2) / s
     dc, dz = [], []
     for u1, u2, u3 in along:
         d_base = 2.0 * u3 - eps * (u1 + u2)
-        d_s = ratio * d_base + skew * (u1 - u2)
-        d_c = (d_base - ratio * d_s) / norm
         d_total = u1 + u2 + 2.0 * u3 + eps * (u1 + u2)
+        if vanishing:
+            # p_g is entire in S^2, whose derivative vanishes with S: to first
+            # order the pair is -e^{-(T - base) t/4} / (2 (2 eps + 1))
+            d_c, d_kp, d_km = 0.0, (d_total - d_base) / 4.0, (d_total - d_base) / 4.0
+        else:
+            d_s = ratio * d_base + skew * (u1 - u2)
+            d_c = (d_base - ratio * d_s) / norm
+            d_kp, d_km = (d_total + d_s) / 4.0, (d_total - d_s) / 4.0
         dc.append((d_c, -d_c, 0.0))
-        dz.append((-(d_total + d_s) / 4.0, -(d_total - d_s) / 4.0, -(u1 + u2 + 2.0 * u3) / 4.0))
+        dz.append((-d_kp, -d_km, -(u1 + u2 + 2.0 * u3) / 4.0))
     return ExpSum(opencavity_pg_asymptote(eps), c, z, dc, dz)
 
 
@@ -552,8 +573,9 @@ def opencavity_pg(rates: DecayRates, eps: float, params: PhysicalParams,
                   t, geometry: CavityGeometry | None = None):
     """Ground-state probability of the open-cavity model.
 
-    Three-exponential closed form with asymptote (1+eps)/(1+2*eps); inputs
-    with a vanishing eigenvalue gap go through the numeric fallback.
+    Three-exponential closed form with asymptote (1+eps)/(1+2*eps), also at
+    a vanishing eigenvalue gap (see :func:`_pg_sum`); only S^2 < 0 outside
+    that band sums the fallback generator's spectrum.
     """
     return _pg_sum(rates, eps, params, t, geometry).at(t)
 
@@ -563,25 +585,29 @@ def opencavity_pg_asymptote(eps: float) -> float:
 
 
 def _energy_sum(rates: DecayRates, eps: float, params: PhysicalParams, t) -> ExpSum:
-    """The mean energy as an :class:`ExpSum` (fallback states validated at ``t``)."""
+    """The mean energy as an :class:`ExpSum`, over the fallback spectrum (states
+    validated at ``t``) where :func:`_pg_sum` takes it."""
     decay = _population_decay(rates, eps)
     if decay is None:
         _, lam, modes = _fallback(rates, params, t, None)
         return ExpSum(0.0, vec(dressed_hamiltonian(params).T) @ modes, lam)
-    s, kp, km = decay
+    s, kp, km, _ = decay
     g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
     w0, g = params.omega0, params.g
     base = g1 * eps * (w0 + 2.0 * g) + g2 * eps * (w0 - 2.0 * g) + g * (g1 - g2) - 2.0 * w0 * g3
-    norm = 2.0 * s * (2.0 * eps + 1.0)
-    c = np.array([(base + s * w0) / norm, -(base - s * w0) / norm])
+    if s:
+        norm = 2.0 * s * (2.0 * eps + 1.0)
+        c = np.array([(base + s * w0) / norm, -(base - s * w0) / norm])
+    else:   # |base| <= (omega0 + sqrt(1 + 2 eps) g) S: base/S := 0, as in _pg_sum
+        c = np.full(2, 0.5 * w0 / (2.0 * eps + 1.0))
     return ExpSum(energy_mean_asymptote(eps, params), c, np.array([-kp, -km]))
 
 
 def energy_mean(rates: DecayRates, eps: float, params: PhysicalParams, t):
     """Mean confined energy Tr(Omega rho(t)) in angular-frequency units.
 
-    With gamma1 = gamma2 the curve is independent of gamma3; degenerate
-    inputs are evaluated over the fallback generator's spectrum.
+    With gamma1 = gamma2 the curve is independent of gamma3.  It sums the
+    fallback generator's spectrum where :func:`opencavity_pg` does.
     """
     return _energy_sum(rates, eps, params, t).at(t)
 

@@ -90,9 +90,9 @@ def convolve_pg(rates: DecayRates, eps: float, params: PhysicalParams,
                 geom: CavityGeometry, delta_t: float, t):
     """Time-uncertainty-averaged ground-state probability (Gaussian profile).
 
-    The smeared exponential sum of :func:`rabicav.closed_form.opencavity_pg`;
-    degenerate-gap inputs smear the fallback generator's spectrum the same
-    way.
+    The smeared exponential sum of :func:`rabicav.closed_form.opencavity_pg`,
+    which is the fallback generator's spectrum only where S^2 < 0 outside
+    the vanishing band.
     """
     return _pg_sum(rates, eps, params, t, geom).smeared(delta_t, t)
 

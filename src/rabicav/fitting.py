@@ -7,25 +7,14 @@ scaled to unit norm is diagonalised once per Jacobian; the damped step for
 any damping factor, the gain the linear model predicts for it and the
 standard errors all come from that one ``eigh``.
 
-The Jacobian is exact when the problem supplies ``slopes``, as
-:func:`fit_rabi` and :func:`fit_q` do (MINPACK's ``lmder``): every
-evaluation returns the curve and its derivative columns from one
+The model returns its values and their exact Jacobian together (MINPACK's
+``lmder``): :func:`fit_rabi` and :func:`fit_q` take both from one
 closed-form pass (:meth:`rabicav.closed_form.ExpSum.slopes`), and an
-accepted trial's columns are the next Jacobian.  Forward differences are
-left for generic models and for the points where ``slopes`` has none: the
-open-cavity curve at a vanishing gap S, which comes from the fallback
-spectrum.  Under the thermal simplification S^2 = base^2 + (1 + 2 eps)
-(gamma1 - gamma2)^2, so p_g is symmetric in gamma1 and gamma2 and their
-exact columns coincide at gamma1 = gamma2: an untied fit with both free from
-equal starts stays on gamma1 = gamma2 and reports infinite errors for both.
-
-The forward-difference step of a parameter x is ``REL_STEP * max(|x|, s)`` with
-``s = min(|x1|, 1)`` from the first value x1 of the parameter that is not
-zero: its start, or, for a zero start, the first value a step moves it to
-(``s = 1`` until then).  So a timing spread of 2.4e-6 s gets a step of
-2.4e-13 s rather than a 4 % secant, whether it starts at 2.37e-6 s or at 0,
-while a parameter that starts at or above 1 keeps the step
-``REL_STEP * max(|x|, 1)``.
+accepted trial's columns are the next Jacobian.  Under the thermal
+simplification S^2 = base^2 + (1 + 2 eps)(gamma1 - gamma2)^2, so p_g is
+symmetric in gamma1 and gamma2 and their columns coincide at gamma1 =
+gamma2: an untied fit with both free from equal starts stays on gamma1 =
+gamma2 and reports infinite errors for both.
 
 Trial points are clamped to the lower bounds.  A parameter sitting on its
 bound while the gradient pushes it further down is held there: it is left
@@ -57,9 +46,9 @@ directions (zero Jacobian columns) are tolerated -- the parameter simply
 stays put and its standard error diverges -- but a completely insensitive
 model raises a rank-deficiency error naming the dead parameters.
 
-The solver's five settings are module constants, the same for every fit:
-``LAMBDA0 = 1e-3``, ``REL_STEP = 1e-7``, ``GRAD_TOL = 1e-10``,
-``STEP_TOL = 1e-10`` and ``MAX_ITER = 500``.
+The solver's four settings are module constants, the same for every fit:
+``LAMBDA0 = 1e-3``, ``GRAD_TOL = 1e-10``, ``STEP_TOL = 1e-10`` and
+``MAX_ITER = 500``.
 """
 
 from __future__ import annotations
@@ -78,13 +67,11 @@ from .evolve import CavityGeometry, true_time
 from .models import DecayRates, PhysicalParams
 
 LAMBDA0 = 1e-3
-REL_STEP = 1e-7
 GRAD_TOL = 1e-10
 STEP_TOL = 1e-10
 MAX_ITER = 500
 
 _EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
 
 
 def _require_finite(name: str, values: np.ndarray) -> None:
@@ -144,20 +131,20 @@ class RankDeficiencyError(ValidationError):
 
 @dataclass(frozen=True, eq=False)
 class FitProblem:
-    """Weighted nonlinear least-squares problem over named parameters."""
+    """Weighted nonlinear least-squares problem over named parameters.
 
-    model: Callable[[Mapping[str, float], np.ndarray], np.ndarray]
+    ``model(params, t)`` returns the model's values at ``t`` and their
+    Jacobian: a (len(names), len(t)) array of derivatives, one row per free
+    parameter in the order of ``names``.
+    """
+
+    model: Callable[[Mapping[str, float], np.ndarray], tuple[np.ndarray, np.ndarray]]
     times: np.ndarray
     values: np.ndarray
     sigma: np.ndarray | None
     names: tuple[str, ...]
     x0: Mapping[str, float]
     lower: Mapping[str, float] = field(default_factory=dict)
-    # slopes(params, t) -> (the model's values, a (len(names), len(t)) array of
-    # their derivatives, one row per free parameter in the order of names, or
-    # None where it has none); when set it replaces the model inside the fit
-    slopes: Callable[[Mapping[str, float], np.ndarray],
-                     tuple[np.ndarray, np.ndarray | None]] | None = None
 
     def __post_init__(self):
         if len(self.names) == 0:
@@ -194,35 +181,14 @@ class FitResult:
     degenerate: tuple[str, ...] = ()
 
 
-def _residuals(problem: FitProblem, x: np.ndarray, slopes: bool = False):
-    """The weighted residuals at ``x`` and, with ``slopes``, their Jacobian from
-    the problem's ``slopes`` (None when it has none there)."""
-    p = dict(zip(problem.names, x.tolist()))
-    if slopes and problem.slopes is not None:
-        y, jac = problem.slopes(p, problem.times)
-    else:
-        y, jac = problem.model(p, problem.times), None
+def _residuals(problem: FitProblem, x: np.ndarray):
+    """The weighted residuals at ``x`` and their Jacobian, one column per parameter."""
+    y, jac = problem.model(dict(zip(problem.names, x.tolist())), problem.times)
     r = np.asarray(y, dtype=float) - problem.values
     if problem.sigma is not None:
         r /= problem.sigma
-        if jac is not None:
-            jac = jac / problem.sigma
-    return r, (None if jac is None else jac.T)
-
-
-def _jacobian(problem: FitProblem, x: np.ndarray, r0: np.ndarray,
-              floor: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian at ``x``, built column by column."""
-    out = np.empty((r0.size, x.size), order="F")
-    shifted = x + REL_STEP * np.maximum(np.abs(x), floor)
-    for j in range(x.size):
-        p = x.copy()
-        p[j] = shifted[j]
-        out[:, j] = _residuals(problem, p)[0]
-    out -= r0[:, None]
-    # divide by the steps actually applied, not the nominal ones
-    out /= shifted - x
-    return out
+        jac = jac / problem.sigma
+    return r, jac.T
 
 
 def _scaled_normal(jac: np.ndarray, held: np.ndarray | None = None):
@@ -253,14 +219,8 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
     """
     x = np.array([float(problem.x0[n]) for n in problem.names])
     lower = np.array([float(problem.lower.get(n, -math.inf)) for n in problem.names])
-    # floor of the difference step's scale, fixed by the first value of each
-    # parameter large enough for REL_STEP * |x| to be a normal float
-    unset = REL_STEP * np.abs(x) < _TINY
-    floor = np.where(unset, 1.0, np.minimum(np.abs(x), 1.0))
-    r, jac = _residuals(problem, x, True)
+    r, jac = _residuals(problem, x)
     cost = float(r @ r)
-    if jac is None:
-        jac = _jacobian(problem, x, r, floor)
     if not jac.any():
         raise RankDeficiencyError(problem.names)
     norms, w, v = scaled = _scaled_normal(jac)
@@ -295,7 +255,7 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
         if (np.abs(trial - x) <= x_tol).all():
             converged = True
             break
-        r_trial, jac_trial = _residuals(problem, trial, True)
+        r_trial, jac_trial = _residuals(problem, trial)
         cost_trial = float(r_trial @ r_trial)
         # the linear model's gain on the unclamped step, -(2 g.step + |J step|^2):
         # a clamped step can point uphill without the fit having converged
@@ -310,11 +270,7 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
         if cost_trial < cost and math.isfinite(cost_trial):
             x, r, cost = trial, r_trial, cost_trial
             lam = max(lam / 10.0, 1e-14)
-            if unset.any():
-                first = unset & (REL_STEP * np.abs(x) >= _TINY)
-                floor[first] = np.minimum(np.abs(x[first]), 1.0)
-                unset &= ~first
-            jac = jac_trial if jac_trial is not None else _jacobian(problem, x, r, floor)
+            jac = jac_trial
             norms, w, v = scaled = _scaled_normal(jac)
             fresh = True
         elif at_floor:
@@ -361,15 +317,19 @@ def q_from_rate(gamma: float, eps: float, params: PhysicalParams,
 
     True time: Q = 2*omega0 / (gamma * (2 eps + 1)); against the effective
     time axis the same curve fits to Q scaled by sqrt(pi) w/d.  The map is
-    its own inverse, so :func:`rate_from_q` is the same arithmetic.
+    its own inverse, so :func:`rate_from_q` is the same arithmetic.  An input
+    outside (0, inf), a NaN included, or a result that is not finite raises
+    :class:`ValidationError`.
     """
-    if gamma <= 0:
-        raise ValidationError(f"a rate or Q must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValidationError(f"a rate or Q must be positive and finite, got {gamma}")
     q = 2.0 * params.omega0 / (gamma * (2.0 * eps + 1.0))
     if convention is TimeConvention.EFFECTIVE:
         if geom is None:
             raise ValidationError("effective-time identity needs the cavity geometry")
         q *= geom.profile_mean
+    if not math.isfinite(q):
+        raise ValidationError(f"{gamma} gives a rate or Q that is not finite")
     return q
 
 
@@ -408,8 +368,7 @@ def fit_q(times: np.ndarray, omega_bar: np.ndarray, eps: float,
     ratio = (y[-1] - offset) / (y[0] - offset)
     kappa0 = -math.log(max(ratio, 1e-12)) / (t[-1] - t[0])
     q0 = params.omega0 / max(kappa0, 1e-300)
-    problem = FitProblem(lambda p, ts: slopes(p, ts)[0], t, y, None, ("q",), {"q": q0},
-                         {"q": 0.0}, slopes)
+    problem = FitProblem(slopes, t, y, None, ("q",), {"q": q0}, {"q": 0.0})
     result = levenberg_marquardt(problem)
     if not result.converged:
         raise ValidationError("quality-factor fit did not converge")
@@ -440,8 +399,7 @@ class RabiFitConfig:
 
     def slopes(self, values: Mapping[str, float], t, tie_gammas: bool = False):
         """:meth:`curve` and its derivatives with respect to the parameters
-        ``values`` names, one row each in that order, from the closed form;
-        the derivatives are None where the gap S vanishes (the fallback)."""
+        ``values`` names, one row each in that order, from the closed form."""
         rates, delta_t = self._resolve(values, tie_gammas)
         gammas = [n for n in values if n != "delta_t"]
         # the chain rule: each free rate moves (gamma1, gamma2, gamma3) along a direction
@@ -450,7 +408,7 @@ class RabiFitConfig:
             along = [(u1, u1, u3) for u1, _, u3 in along]
         curve = _pg_sum(rates, self.eps, self.params, t, self.geom, along)
         y, columns = curve.slopes(delta_t, t, "delta_t" in values)
-        if columns is not None and "delta_t" in values:
+        if "delta_t" in values:
             # its column comes last
             columns = columns[[gammas.index(n) if n != "delta_t" else -1 for n in values]]
         return y, columns
@@ -490,7 +448,7 @@ def fit_rabi(series: ExperimentSeries, config: RabiFitConfig,
 
     t_true = (series.times if series.convention is TimeConvention.TRUE
               else true_time(series.times, config.geom))
-    problem = FitProblem(lambda p, ts: config.curve(p, ts, tie_gammas), t_true, series.p_g,
+    problem = FitProblem(lambda p, ts: config.slopes(p, ts, tie_gammas), t_true, series.p_g,
                          series.sigma, free, {n: getattr(config, n) for n in free},
-                         {n: 0.0 for n in free}, lambda p, ts: config.slopes(p, ts, tie_gammas))
+                         {n: 0.0 for n in free})
     return levenberg_marquardt(problem)

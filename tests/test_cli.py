@@ -801,6 +801,31 @@ def test_fit_q_command(capsys):
     assert gamma == pytest.approx(1772.8, abs=1.0)
 
 
+@pytest.mark.parametrize("target", ["nan", "inf", "1e-320"])
+def test_fit_q_rejects_a_target_that_is_not_a_positive_finite_q(target, capsys):
+    # 1e-320 is positive, but the rate it gives overflows to inf
+    assert run_cli("fit-q", "--end-us", "50", "--q-target", target) == cli.EXIT_VALIDATION
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, model, message", [
+    ("fit-rabi", "phenom-t0", "Rabi-curve fits are defined for the open-cavity model"),
+    ("fit-q", "microscopic", "quality-factor fits are defined for the open-cavity model"),
+], ids=["fit-rabi", "fit-q"])
+def test_fit_commands_reject_other_models(tmp_path, params, paper_rates, geometry, command,
+                                          model, message, capsys):
+    ts = np.arange(1.0, 41.0) * 1e-6
+    path = tmp_path / "data.csv"
+    cli.emit_series(str(path), fitting.ExperimentSeries(
+        ts, cf.opencavity_pg(paper_rates, 0.0466, params, ts, geometry=geometry), None,
+        fitting.TimeConvention.TRUE))
+    data = ("--data", str(path)) if command == "fit-rabi" else ()
+    assert run_cli(command, "--model", model, *data) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_davies_check_command(capsys):
     assert run_cli("davies-check", "--n-max", "2") == 0
     assert "PASS" in capsys.readouterr().out

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rabicav import closed_form as cf
@@ -22,11 +22,12 @@ def test_cost_never_increases_from_start():
     t = np.linspace(0.0, 6.0, 35)
 
     def model(p, ts):
-        return p["a"] * np.cos(p["w"] * ts)
+        cos, sin = np.cos(p["w"] * ts), np.sin(p["w"] * ts)
+        return p["a"] * cos, np.array([cos, -p["a"] * ts * sin])
 
-    y = model({"a": 1.0, "w": 2.0}, t)
+    y = model({"a": 1.0, "w": 2.0}, t)[0]
     problem = FitProblem(model, t, y, None, ("a", "w"), {"a": -0.5, "w": 2.6})
-    start = model(problem.x0, t) - y
+    start = model(problem.x0, t)[0] - y
     result = levenberg_marquardt(problem)
     assert result.rss <= float(start @ start)
 
@@ -37,9 +38,10 @@ def test_exact_model_recovery():
     truth = {"a": 2.5, "k": 0.8}
 
     def model(p, ts):
-        return p["a"] * np.exp(-p["k"] * ts)
+        decay = np.exp(-p["k"] * ts)
+        return p["a"] * decay, np.array([decay, -p["a"] * ts * decay])
 
-    data = model(truth, t)
+    data = model(truth, t)[0]
     problem = FitProblem(model, t, data, None, ("a", "k"), {"a": 1.0, "k": 0.3})
     result = levenberg_marquardt(problem)
     assert result.converged
@@ -53,7 +55,7 @@ def test_affine_model_matches_normal_equations():
     y = 1.7 * t - 0.4 + rng.normal(scale=0.05, size=t.size)
 
     def model(p, ts):
-        return p["a"] * ts + p["b"]
+        return p["a"] * ts + p["b"], np.array([ts, np.ones_like(ts)])
 
     problem = FitProblem(model, t, y, None, ("a", "b"), {"a": 0.0, "b": 0.0})
     result = levenberg_marquardt(problem)
@@ -67,15 +69,15 @@ def test_gradient_norm_invariant_at_convergence():
     t = np.linspace(0.0, 4.0, 25)
 
     def model(p, ts):
-        return p["a"] * np.sin(ts) + p["b"]
+        return p["a"] * np.sin(ts) + p["b"], np.array([np.sin(ts), np.ones_like(ts)])
 
-    y = model({"a": 1.2, "b": 0.3}, t) + 0.01 * np.cos(5 * t)
+    y = model({"a": 1.2, "b": 0.3}, t)[0] + 0.01 * np.cos(5 * t)
     problem = FitProblem(model, t, y, None, ("a", "b"), {"a": 0.5, "b": 0.0})
     result = levenberg_marquardt(problem)
     assert result.converged
 
     def residuals(p):
-        return model(p, t) - y
+        return model(p, t)[0] - y
 
     r = residuals(result.params)
     jac = np.column_stack([
@@ -88,9 +90,10 @@ def test_bounds_are_clamped():
     t = np.linspace(0.0, 3.0, 20)
 
     def model(p, ts):
-        return np.exp(-p["k"] * ts)
+        decay = np.exp(-p["k"] * ts)
+        return decay, (-ts * decay)[None]
 
-    y = model({"k": 0.05}, t)
+    y = model({"k": 0.05}, t)[0]
     problem = FitProblem(model, t, y, None, ("k",), {"k": 2.0}, {"k": 0.0})
     result = levenberg_marquardt(problem)
     assert result.params["k"] >= 0.0
@@ -106,7 +109,7 @@ def test_constant_data_rank_deficiency():
     t = np.linspace(0.0, 3.0, 20)
 
     def model(p, ts):
-        return np.full_like(ts, 0.5)  # insensitive to the parameter
+        return np.full_like(ts, 0.5), np.zeros((1, ts.size))  # insensitive to the parameter
 
     problem = FitProblem(model, t, np.full_like(t, 0.5), None, ("a",), {"a": 1.0})
     with pytest.raises(RankDeficiencyError):
@@ -117,7 +120,7 @@ def test_exactly_dead_parameter_gets_infinite_stderr():
     t = np.linspace(0.0, 3.0, 20)
 
     def model(p, ts):
-        return p["a"] * ts  # "c" never enters
+        return p["a"] * ts, np.array([ts, np.zeros_like(ts)])  # "c" never enters
 
     data = 1.4 * t
     problem = FitProblem(model, t, data, None, ("a", "c"), {"a": 1.0, "c": 5.0})
@@ -137,10 +140,12 @@ def test_energy_fit_is_flat_in_gamma3(params):
 
     def model(p, t):
         rates = models.DecayRates.simplified(p["gamma"], p["gamma"], p["gamma3"], eps)
-        return np.asarray(cf.energy_mean(rates, eps, params, t))
+        # at gamma1 = gamma2 one term is left: (omega0/(2 eps + 1)) e^{-gamma (2 eps + 1) t/2}
+        slope = -0.5 * params.omega0 * t * np.exp(-p["gamma"] * (2 * eps + 1) * t / 2)
+        return np.asarray(cf.energy_mean(rates, eps, params, t)), np.array([slope, 0.0 * t])
 
     gamma3_true = 9000.0
-    data = model({"gamma": 17.73, "gamma3": gamma3_true}, ts)
+    data = model({"gamma": 17.73, "gamma3": gamma3_true}, ts)[0]
     sigma = np.full_like(ts, 1e-3 * params.omega0)
     problem = FitProblem(model, ts, data, sigma, ("gamma", "gamma3"),
                          {"gamma": 20.0, "gamma3": 8000.0},
@@ -307,25 +312,24 @@ def test_q_fit_is_pinned(params, paper_rates, monkeypatch):
 
 
 def test_microsecond_scale_parameter_converges_quickly():
-    # a decay time of 2 us: a difference step of 1e-7 in absolute terms is a
-    # 5 % secant, and the absolute gradient test never fires; with the step
-    # sized to the parameter the fit ends in a few iterations
+    # a decay time of 2 us: the stopping tests are scale-free, so a parameter
+    # of order 1e-6 ends in a few iterations, as one of order 1 would
     rng = np.random.default_rng(0)
     t = np.linspace(0.0, 1e-5, 60)
 
     def model(p, ts):
-        return np.exp(-ts / p["tau"])
+        decay = np.exp(-ts / p["tau"])
+        return decay, (decay * ts / p["tau"] ** 2)[None]
 
     sigma = np.full(t.size, 0.01)
-    y = model({"tau": 2.0e-6}, t) + rng.normal(scale=0.01, size=t.size)
+    y = model({"tau": 2.0e-6}, t)[0] + rng.normal(scale=0.01, size=t.size)
     result = levenberg_marquardt(FitProblem(model, t, y, sigma, ("tau",), {"tau": 3e-6}))
     assert result.converged
     assert result.iterations <= 6
-    # a Gauss-Newton step with the analytic derivative moves it by a
-    # negligible fraction of its error bar
-    tau = result.params["tau"]
-    r = (model(result.params, t) - y) / sigma
-    dr = model(result.params, t) * t / tau**2 / sigma
+    # a Gauss-Newton step moves it by a negligible fraction of its error bar
+    values, (slope,) = model(result.params, t)
+    r = (values - y) / sigma
+    dr = slope / sigma
     assert result.stderr["tau"] == pytest.approx(1.0 / np.linalg.norm(dr), rel=1e-5)
     assert abs(dr @ r) / (dr @ dr) <= 1e-3 * result.stderr["tau"]
 
@@ -358,7 +362,8 @@ def test_stderr_is_independent_of_parameter_units():
 
     def fit(unit):
         def model(p, ts):
-            return p["a"] * np.exp(-p["k"] * unit * ts)
+            decay = np.exp(-p["k"] * unit * ts)
+            return p["a"] * decay, np.array([decay, -p["a"] * unit * ts * decay])
 
         problem = FitProblem(model, t, y, None, ("a", "k"), {"a": 1.3, "k": 0.7 / unit})
         return levenberg_marquardt(problem)
@@ -412,7 +417,7 @@ def test_parameter_held_on_its_bound(x0):
     y = 1.7 * t - 0.4 + rng.normal(scale=0.05, size=t.size)
 
     def model(p, ts):
-        return p["a"] * ts + p["b"]
+        return p["a"] * ts + p["b"], np.array([ts, np.ones_like(ts)])
 
     result = levenberg_marquardt(FitProblem(model, t, y, None, ("a", "b"), x0, {"b": 0.0}))
     assert result.converged
@@ -448,8 +453,8 @@ def test_noisy_fit_q_lands_on_the_cost_minimum(params, paper_rates, seed):
 
 
 def test_zero_delta_t_start_reaches_the_same_optimum(params, geometry, paper_rates):
-    # fit-rabi starts delta_t at 0 by default; its difference step must take
-    # its scale from the first nonzero value, not stay a 4 % secant of 1e-7 s
+    # fit-rabi starts delta_t at 0 by default; its exact column there, which a
+    # difference step sized to 1e-7 s took as a 4 % secant, reaches the same optimum
     rng = np.random.default_rng(4)
     ts = np.arange(1.0, 201.0) * 1e-6
     truth = dephase.convolve_pg(paper_rates, 0.0466, params, geometry, 2.37e-6, ts)
@@ -504,7 +509,7 @@ def test_fit_agrees_with_scipy_least_squares(fit, params, geometry, paper_rates,
     [(problem, result)] = seen
 
     def residuals(x):
-        r = problem.model(dict(zip(problem.names, x)), problem.times) - problem.values
+        r = problem.model(dict(zip(problem.names, x)), problem.times)[0] - problem.values
         return r if problem.sigma is None else r / problem.sigma
 
     # scipy's difference step is absolute below 1, so it solves for x / |x0|
@@ -562,21 +567,35 @@ _SLOPE_TIMES = np.linspace(0.0, 430e-6, 12)
 
 
 def _pg_mp(g1, g2, g3, dt, t, eps, omega):
-    """p_g of the open-cavity closed form at 50 digits: the damping-basis gap
-    S^2 of the general rates with gamma_a = eps g1, gamma_b = eps g2,
-    gamma_c = g3, and each e^{z t} smeared to (1 - z dt)^{-t/dt}."""
+    """p_g of the open-cavity closed form at 50 digits, entire in the square
+    S^2 of the damping-basis gap of the general rates with gamma_a = eps g1,
+    gamma_b = eps g2, gamma_c = g3, and each e^{z t} smeared to
+    (1 - z dt)^{-t/dt}.
+
+    The smeared population exponents are M -+ D, and their pair is
+    -e^{M t} [cosh(D t) + base (D/S) t sinhc(D t)] / (2 (2 eps + 1)).  cosh
+    and sinhc are 0F1 series in (D t)^2, and D/S is 1/4 sharp and
+    artanh(x)/x / (4 m) = 2F1(1/2, 1; 3/2; x^2) / (4 m) smeared, with
+    m = 1 + T dt/4 and x = S dt/(4 m): S enters only through S^2, so S = 0
+    and S^2 < 0 are ordinary points."""
+    t, eps = mpmath.mpf(t), mpmath.mpf(eps)   # so that t^2 is not a rounded float
     ga, gb, gc = eps * g1, eps * g2, g3
-    s = mpmath.sqrt((g1 - g2 + g3 - ga - gb + gc) ** 2 + 4 * (g1 - g2) * (ga - gc))
+    s2 = (g1 - g2 + g3 - ga - gb + gc) ** 2 + 4 * (g1 - g2) * (ga - gc)
     total = g1 + g2 + g3 + ga + gb + gc
     base = 2 * g3 - eps * (g1 + g2)
-    norm = 4 * s * (2 * eps + 1)
-    terms = (((base - s) / norm, -(total + s) / 4), (-(base + s) / norm, -(total - s) / 4),
-             (-0.5, mpmath.mpc(-(g1 + g2 + 2 * g3) / 4, omega)))
-    value = (1 + eps) / (1 + 2 * eps)
-    for c, z in terms:
-        value += mpmath.re(c * (mpmath.exp(z * t) if dt == 0
-                                else mpmath.exp(-t * mpmath.log(1 - z * dt) / dt)))
-    return value
+    if dt == 0:
+        mean, ratio = -total / 4, mpmath.mpf(1) / 4
+    else:
+        m = 1 + total * dt / 4
+        x2 = s2 * dt ** 2 / (16 * m ** 2)
+        mean = -mpmath.log(m ** 2 * (1 - x2)) / (2 * dt)
+        ratio = mpmath.hyp2f1(0.5, 1, 1.5, x2) / (4 * m)
+    dt2 = s2 * ratio ** 2 * t ** 2 / 4   # (D t / 2)^2
+    pair = -mpmath.exp(mean * t) * (mpmath.hyp0f1(0.5, dt2)
+                                    + base * ratio * t * mpmath.hyp0f1(1.5, dt2))
+    z = mpmath.mpc(-(g1 + g2 + 2 * g3) / 4, omega)
+    rabi = mpmath.exp(z * t) if dt == 0 else mpmath.exp(-t * mpmath.log(1 - z * dt) / dt)
+    return (1 + eps) / (1 + 2 * eps) + pair / (2 * (2 * eps + 1)) - mpmath.re(rabi) / 2
 
 
 def _slope_errors(params, geometry, rates3, eps, delta_t, tie, names):
@@ -605,6 +624,21 @@ def _slope_errors(params, geometry, rates3, eps, delta_t, tie, names):
     return errors
 
 
+# the vanishing gap: S = 0 exactly at (1000, 1000, 46.6) with eps = 0.0466,
+# S = 1.2e-13 one ulp of gamma2 away, and S = 9.3e-12 at gamma3 = eps gamma1 (1 +- 1e-13)
+_VANISHING = [(1000.0, 1000.0, 46.6), (1000.0, math.nextafter(1000.0, math.inf), 46.6),
+              (1000.0, 1000.0, 46.6 * (1.0 + 1e-13)), (1000.0, 1000.0, 46.6 * (1.0 - 1e-13))]
+
+
+def _vanishing_examples(test):
+    for gamma1, gamma2, gamma3 in _VANISHING:
+        for delta_t in (0.0, 2.37e-6):
+            for tie in (False, True):
+                test = example(gamma1=gamma1, gamma2=gamma2, gamma3=gamma3, eps=0.0466,
+                               delta_t=delta_t, tie=tie)(test)
+    return test
+
+
 @settings(max_examples=50, deadline=None)
 @given(gamma1=_RATE, gamma2=_RATE, gamma3=_RATE, eps=st.floats(0.0, 1.0),
        delta_t=st.sampled_from([0.0, 1e-14, 2.37e-6]), tie=st.booleans())
@@ -612,19 +646,21 @@ def _slope_errors(params, geometry, rates3, eps, delta_t, tie, names):
 @example(gamma1=17.73, gamma2=17.73, gamma3=10335.8, eps=0.0466, delta_t=0.0, tie=False)
 @example(gamma1=1.0, gamma2=1e6, gamma3=1.0, eps=0.0, delta_t=0.0, tie=False)
 @example(gamma1=3.0, gamma2=0.9, gamma3=7.7e5, eps=0.003, delta_t=0.0, tie=False)
+@_vanishing_examples
 def test_slopes_match_an_mpmath_derivative(params, geometry, gamma1, gamma2, gamma3, eps,
                                            delta_t, tie):
     if tie:
         gamma2 = gamma1
     rates = models.DecayRates.simplified(gamma1, gamma2, gamma3, eps)
-    assume(not cf.damping_basis(rates).degenerate)
     # the delta_t column first: the columns follow the order of the names
     names = ("delta_t", "gamma3", "gamma1") if tie else ("delta_t", "gamma3", "gamma1", "gamma2")
     errors = _slope_errors(params, geometry, (gamma1, gamma2, gamma3), eps, delta_t, tie, names)
     # the slow rate km = (T - S)/4 of the curve itself cancels when one rate
-    # dominates: its rounding, and so that of the columns, grows like kp/km
-    _, kp, km = cf._population_decay(rates, eps)
-    assert max(errors) <= 1e-12 * kp / km, dict(zip(names, errors))
+    # dominates: its rounding, and so that of the columns, grows like kp/km;
+    # inside the vanishing band the columns hold S only through S^2
+    _, kp, km, vanishing = cf._population_decay(rates, eps)
+    bound = 1e-13 if vanishing else 1e-12 * kp / km
+    assert max(errors) <= bound, dict(zip(names, errors))
 
 
 @pytest.mark.parametrize("k", [5, 7, 9])
@@ -639,13 +675,25 @@ def test_slopes_next_to_the_vanishing_gap(params, geometry, k, tie):
         assert max(errors) <= 1e-12, dict(zip(names, errors))
 
 
-def test_vanishing_gap_has_no_slopes(params, geometry):
-    # S = 0 takes the fallback spectrum, which has no closed-form derivatives
-    config = fitting.RabiFitConfig(params, geometry, 0.0466, 1000.0, 1000.0, 46.6)
-    values = {"gamma1": 1000.0, "delta_t": 1e-6}
-    y, columns = config.slopes(values, _SLOPE_TIMES, True)
-    assert columns is None
-    assert np.array_equal(y, config.curve(values, _SLOPE_TIMES, True))
+def test_tied_fit_started_at_a_vanishing_gap(params, geometry):
+    # gamma1 = gamma2 = 1000 with gamma3 = eps gamma1 = 46.6 has S = 0: the fit
+    # starts from the pair's coincident limit and its exact columns
+    rates = models.DecayRates.simplified(1000.0, 1000.0, 46.6, 0.0466)
+    assert cf._gap(rates) == (0.0, True)
+    rng = np.random.default_rng(7)
+    ts = np.arange(1.0, 431.0) * 1e-6
+    truth = dephase.convolve_pg(rates, 0.0466, params, geometry, 2.37e-6, ts)
+    data = np.clip(truth + rng.normal(scale=0.01, size=ts.size), 0.0, 1.0)
+    series = ExperimentSeries(ts, data, np.full(ts.size, 0.01), TimeConvention.TRUE)
+    config = fitting.RabiFitConfig(params, geometry, 0.0466, 1000.0, 1000.0, 46.6,
+                                   delta_t=2.37e-6)
+    result = fitting.fit_rabi(series, config, ("gamma1", "gamma3"), tie_gammas=True)
+    assert result.converged
+    assert result.degenerate == ()
+    for name, true in (("gamma1", 1000.0), ("gamma3", 46.6)):
+        err = result.stderr[name]
+        assert math.isfinite(err) and err > 0.0
+        assert abs(result.params[name] - true) <= 5.0 * err
 
 
 def test_untied_fit_from_equal_rates_stays_on_the_symmetric_line(params, geometry,

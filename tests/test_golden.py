@@ -6,9 +6,13 @@ last one (12 001 rows; 6001 per value for the sweep; 4301 for the phenom-t0
 product), so the joins between blocks are pinned too.  Each digest is the
 sha256 of a CSV the current producers write, and
 :func:`test_exact_rows_match_block_expm` checks the values of every case
-but the two ``energy`` ones against scipy's expm of the invariant block of
-|e,0><e,0|; the ``energy`` cases write the mean-energy curves, not states.  A change in the last bit of any value, or in the sign of a zero,
-changes the digest.  The digests were taken with numpy 2.4 and glibc's
+but three against scipy's expm of the invariant block of |e,0><e,0|.  The
+two ``energy`` cases write the mean-energy curves, not states.  The
+phenom-t0 Gaussian product has no single-expm oracle, because its factors
+do not commute; ``test_phenom_product_matches_mpmath_product`` in
+``tests/test_closed_form.py`` checks it against a 40-digit product instead.
+A change in the last bit of any value, or in the sign of a zero, changes the
+digest.  The digests were taken with numpy 2.4 and glibc's
 libm on x86-64 Linux (AVX-512); a platform whose exp, cos or hypot rounds
 differently gives other digests.
 """
@@ -122,13 +126,15 @@ def _entangle_columns(columns):
 @pytest.mark.parametrize("name", ["phenom-t", "phenom-t0", "phenom-t0-hyperbolic",
                                   "degenerate", "degenerate-gaussian", "simulate",
                                   "simulate-gaussian-spread", "entangle", "entangle-gaussian",
-                                  "sweep", "microscopic", "microscopic-gaussian"])
+                                  "sweep", "microscopic", "microscopic-gaussian",
+                                  "simulate-gaussian-spread-multi-block", "entangle-multi-block",
+                                  "sweep-multi-block"])
 def test_exact_rows_match_block_expm(tmp_path, name, params, geometry, block_expm):
     argv, _ = CASES[name]
     out = tmp_path / f"{name}.csv"
     assert cli.main([*argv, "-o", str(out)]) == 0
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
-    if name == "sweep":   # one block of rows per gamma3, after the sweep column
+    if name.startswith("sweep"):   # one block of rows per gamma3, after the sweep column
         cases = [(rows[rows[:, 0] == v, 1:], v) for v in np.unique(rows[:, 0])]
     else:
         cases = [(rows, None)]
