@@ -531,10 +531,12 @@ def cmd_fit_q(args) -> int:
     q = fitting.fit_q(ts, curve, eps, params, convention)
     identity_geom = geom if convention is fitting.TimeConvention.EFFECTIVE else None
     gamma_back = fitting.rate_from_q(q, eps, params, convention, identity_geom)
+    # the target is checked before anything is printed
+    gamma_t = (None if args.q_target is None
+               else fitting.rate_from_q(args.q_target, eps, params, convention, identity_geom))
     print(f"Q = {fmt(q)} ({config.time_convention} time)")
     print(f"gamma(Q) via the {config.time_convention}-time identity = {fmt(gamma_back)}")
-    if args.q_target is not None:
-        gamma_t = fitting.rate_from_q(args.q_target, eps, params, convention, identity_geom)
+    if gamma_t is not None:
         print(f"gamma(Q={fmt(args.q_target)}) = {fmt(gamma_t)}")
     return EXIT_OK
 

@@ -801,11 +801,14 @@ def test_fit_q_command(capsys):
     assert gamma == pytest.approx(1772.8, abs=1.0)
 
 
-@pytest.mark.parametrize("target", ["nan", "inf", "1e-320"])
+@pytest.mark.parametrize("target", ["nan", "inf", "1e-320", "0"])
 def test_fit_q_rejects_a_target_that_is_not_a_positive_finite_q(target, capsys):
-    # 1e-320 is positive, but the rate it gives overflows to inf
+    # 1e-320 is positive, but the rate it gives overflows to inf; nothing is
+    # printed before the target is rejected
     assert run_cli("fit-q", "--end-us", "50", "--q-target", target) == cli.EXIT_VALIDATION
-    assert "error: " in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error: " in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command, model, message", [

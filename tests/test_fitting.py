@@ -590,9 +590,9 @@ def _pg_mp(g1, g2, g3, dt, t, eps, omega):
         x2 = s2 * dt ** 2 / (16 * m ** 2)
         mean = -mpmath.log(m ** 2 * (1 - x2)) / (2 * dt)
         ratio = mpmath.hyp2f1(0.5, 1, 1.5, x2) / (4 * m)
-    dt2 = s2 * ratio ** 2 * t ** 2 / 4   # (D t / 2)^2
-    pair = -mpmath.exp(mean * t) * (mpmath.hyp0f1(0.5, dt2)
-                                    + base * ratio * t * mpmath.hyp0f1(1.5, dt2))
+    arg = s2 * ratio ** 2 * t ** 2 / 4   # (D t / 2)^2
+    pair = -mpmath.exp(mean * t) * (mpmath.hyp0f1(0.5, arg)
+                                    + base * ratio * t * mpmath.hyp0f1(1.5, arg))
     z = mpmath.mpc(-(g1 + g2 + 2 * g3) / 4, omega)
     rabi = mpmath.exp(z * t) if dt == 0 else mpmath.exp(-t * mpmath.log(1 - z * dt) / dt)
     return (1 + eps) / (1 + 2 * eps) + pair / (2 * (2 * eps + 1)) - mpmath.re(rabi) / 2
