@@ -2,9 +2,9 @@
 
 Most cases run on small grids of one block.  The ``-multi-block`` cases
 span two or three blocks of :data:`~rabicav.core.BLOCK` rows with a partial
-last one (12 001 rows; 6001 per value for the sweep; 4301 for the phenom-t0
-product), so the joins between blocks are pinned too.  Each digest is the
-sha256 of a CSV the current producers write, and
+last one (12 001 rows; 6001 per value for the sweep and for phenom-t; 4301
+for the phenom-t0 product), so the joins between blocks are pinned too.
+Each digest is the sha256 of a CSV the current producers write, and
 :func:`test_exact_rows_match_block_expm` checks the values of every case
 but three against scipy's expm of the invariant block of |e,0><e,0|.  The
 two ``energy`` cases write the mean-energy curves, not states.  The
@@ -73,6 +73,9 @@ CASES = {
         "4f798b108ac814ad5bdf1062d26e72657df37f26100f4cd1d343b4613b8d203d"),
     "phenom-t": (("simulate", "--model", "phenom-t", *_GRID),
                  "c8d00b5759497ef0b61384ce548716b5b55db2b98d46ec9d1c360da2079cd8be"),
+    "phenom-t-multi-block": (
+        ("simulate", "--model", "phenom-t", "--end-us", "60", "--step-us", "0.01"),
+        "a68a47a8f6fd9c6ac3a8f43efc5d9b1186116db9fe518a3164536613787be422"),
     "degenerate": (("simulate", *_DEGENERATE, *_GRID),
                    "8689586e8a8b45dd67d6c3a65a12a8d0cde398f8bef4539b3b088a0629c53487"),
     "degenerate-gaussian": (
@@ -91,10 +94,10 @@ def test_csv_is_byte_identical(tmp_path, name):
 
 def _exact_case(name, params, geometry, gamma3=None):
     """The generator and initial state of a case, ``gamma3`` a sweep value."""
-    if name == "phenom-t":
-        kind = models.PhenomT.from_temperature(0.3 * params.g, params)
-    elif name.startswith("phenom-t0"):
+    if name.startswith("phenom-t0"):
         kind = models.PhenomT0(1e6 if name.endswith("hyperbolic") else 0.3 * params.g)
+    elif name.startswith("phenom-t"):
+        kind = models.PhenomT.from_temperature(0.3 * params.g, params)
     elif name.startswith("degenerate"):
         kind = models.OpenCavity(models.DecayRates.simplified(1000.0, 1000.0, 46.6, 0.0466))
     elif name.startswith("microscopic"):
@@ -128,7 +131,7 @@ def _entangle_columns(columns):
                                   "simulate-gaussian-spread", "entangle", "entangle-gaussian",
                                   "sweep", "microscopic", "microscopic-gaussian",
                                   "simulate-gaussian-spread-multi-block", "entangle-multi-block",
-                                  "sweep-multi-block"])
+                                  "sweep-multi-block", "phenom-t-multi-block"])
 def test_exact_rows_match_block_expm(tmp_path, name, params, geometry, block_expm):
     argv, _ = CASES[name]
     out = tmp_path / f"{name}.csv"
