@@ -15,9 +15,8 @@ from .models import (
     ground_state_probability, kms_ratio, thermal_occupation,
 )
 from .closed_form import (
-    DampingBasis, ExpSum, InitialDecomposition, damping_basis, energy_mean,
-    initial_decomposition, initial_excited_state, microscopic_pg, microscopic_rho,
-    opencavity_pg, opencavity_rho, phenom_T0_rho,
+    DampingBasis, ExpSum, damping_basis, energy_mean, initial_excited_state,
+    microscopic_pg, microscopic_rho, opencavity_pg, opencavity_rho, phenom_T0_rho,
 )
 from .evolve import (
     CavityGeometry, StepUnderflowError, Trajectory, effective_time,

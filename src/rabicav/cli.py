@@ -370,31 +370,37 @@ def _sweep_rows(config: RunConfig, sweep, worker) -> tuple[list[str], np.ndarray
     """The header and the one float table of ``worker`` over the grid, run
     for each sweep value in order, with the value in a first column.
 
-    ``worker(config, ts_us) -> (header, rows)`` is given the grid from some
-    row to its end and returns the rows of its first times: one block of
-    :data:`~rabicav.core.BLOCK`, or all of them for ``phenom-t``, whose values
-    depend on how many times it is given.  Each block goes into the table as it comes,
-    so memory is the table plus one block's states.  A failing state is
-    named by its index in the grid, however many blocks came before it.
+    ``worker(config, ts_us) -> (header, rows)`` is given one block of the
+    grid's times and returns their rows.  Blocks hold
+    :data:`~rabicav.core.BLOCK` times, the last one fewer, or one more where
+    a lone last row joins it: the n-step product of one time takes BLAS's
+    matrix-vector path, which rounds otherwise than the rows of a longer
+    call.  Each block goes into the table as it comes, so memory is the
+    table plus one block's states.  A failing state is named by its index
+    in the grid, however many blocks came before it.
+
+    Each row depends on its own time alone, with one caveat: the n-step
+    product's series factors (:func:`rabicav.evolve._expm_rows`) take their
+    squaring count from the largest time they are given, so their rows could
+    depend on the block.  No grid measured so far reaches that.
     """
     grid = config.grid_us()
     name, values = sweep or (None, [None])
     first = int(name is not None)   # the column of the sweep value
     n, table = len(grid), None
+    bounds = [*range(0, max(n - 1, 1), BLOCK), n]
     for k, value in enumerate(values):
         swept = replace(config, **{name: float(value)}) if first else config
-        at = 0
-        while at < n:
+        for at, stop in zip(bounds, bounds[1:]):
             try:
-                header, rows = worker(swept, grid[at:])
+                header, rows = worker(swept, grid[at:stop])
             except ValidationError as exc:
                 if exc.state is None:
                     raise
                 raise ValidationError(exc.problem, at + exc.state) from None
             if table is None:
                 table = np.empty((len(values) * n, first + rows.shape[1]))
-            table[k * n + at:k * n + at + len(rows), first:] = rows
-            at += len(rows)
+            table[k * n + at:k * n + stop, first:] = rows
         if first:
             table[k * n:(k + 1) * n, 0] = value
     return [f"sweep_{name}"] * first + header, table
@@ -405,8 +411,7 @@ def _sweep_rows(config: RunConfig, sweep, worker) -> tuple[list[str], np.ndarray
 # ---------------------------------------------------------------------------
 
 def _simulate_rows(config: RunConfig, ts_us: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """p_g and the state elements at the first block of the times ``ts_us``,
-    or at all of them for ``phenom-t`` (see :func:`_sweep_rows`)."""
+    """p_g and the state elements at the times ``ts_us``."""
     params = config.params()
     geom = config.geometry() if config.profile == "gaussian" else None
     kind = config.model_kind()
@@ -420,11 +425,6 @@ def _simulate_rows(config: RunConfig, ts_us: np.ndarray) -> tuple[list[str], np.
     if delta_t > 0.0 and geom is None:
         raise ValidationError("time-uncertainty averaging uses the gaussian profile")
 
-    # The closed forms are elementwise in t; the phenom-t propagator's matrix
-    # products round some rows differently when the number of times changes,
-    # so it takes the whole grid and bounds its memory by its factor chunks.
-    if name != "phenom-t":
-        ts_us = ts_us[:BLOCK]
     ts = ts_us * 1e-6
     n = config.nstep if geom else 1   # frozen-coupling factors of the photon models
     if name == "phenom-t0":
@@ -454,12 +454,11 @@ def _require_open_cavity(config: RunConfig, what: str) -> None:
 
 
 def _energy_rows(config: RunConfig, ts_us: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The mean energy, sharp and smeared, at the first block of the times ``ts_us``."""
+    """The mean energy, sharp and smeared, at the times ``ts_us``."""
     _require_open_cavity(config, "energy curves are")
     params = config.params()
     rates = config.rates()
     delta_t = config.delta_t_us * 1e-6
-    ts_us = ts_us[:BLOCK]
     ts = ts_us * 1e-6
     omega = cf.energy_mean(rates, config.eps, params, ts)
     conv = dephase.convolve_energy(rates, config.eps, params, delta_t, ts)
@@ -468,11 +467,10 @@ def _energy_rows(config: RunConfig, ts_us: np.ndarray) -> tuple[list[str], np.nd
 
 def _entangle_rows(config: RunConfig, ts_us: np.ndarray) -> tuple[list[str], np.ndarray]:
     """The partial-transpose spectrum and the |e,0><g,1| coherence at the
-    first block of the times ``ts_us``."""
+    times ``ts_us``."""
     _require_open_cavity(config, "the separability analysis is")
     params = config.params()
     geom = config.geometry() if config.profile == "gaussian" else None
-    ts_us = ts_us[:BLOCK]
     rho_d = cf.opencavity_rho(config.rates(), config.eps, params, ts_us * 1e-6, geometry=geom)
     rho_b = models.dressed_transform(rho_d, Basis.BARE)
     spec = entangle.ppt_spectrum(entangle.embed4(rho_b))
@@ -551,6 +549,8 @@ def cmd_davies_check(args) -> int:
         if not 0.0 < value * value < math.inf:   # the weights divide by its square
             raise ConfigError(f"{flag} must be nonzero and finite, with a square "
                               f"in the float range, got {value!r}")
+    if args.n_max < 1:
+        raise ConfigError(f"--n-max must be >= 1, got {args.n_max}")
     ops = davies.davies_decompose(alpha, beta, args.n_max, params)
     comm = davies.commutation_defect(ops, args.n_max, params)
     w_down = {params.omega0 + params.g: config.gamma1 / alpha ** 2,

@@ -362,21 +362,6 @@ def damping_basis(rates: DecayRates, params: PhysicalParams | None = None) -> Da
     return DampingBasis(lam, operators, components, s, degenerate)
 
 
-@dataclass(frozen=True)
-class InitialDecomposition:
-    """Coefficients of |e,0><e,0| over the damping-basis eigenoperators."""
-
-    a1: float
-    a2: float
-    a3: float
-    a4: float = -0.5
-    a7: float = -0.5
-
-
-class DegenerateModelError(ValidationError):
-    """Closed-form denominators vanish; use the numeric fallback."""
-
-
 def _check_simplified(rates: DecayRates, eps: float):
     if eps < 0:
         raise ValidationError("eps must be >= 0")
@@ -387,48 +372,6 @@ def _check_simplified(rates: DecayRates, eps: float):
         if abs(got - want) > 1e-9 * scale:
             raise ValidationError(
                 f"{name} = {got} violates the thermal simplification (expected {want})")
-
-
-def initial_decomposition(rates: DecayRates, eps: float) -> InitialDecomposition:
-    """Decomposition coefficients A_i, valid under the thermal simplification.
-
-    Raises :class:`DegenerateModelError` when the gap parameter or one of the
-    denominators vanishes or nearly does (|S| <= 1e-5 and
-    |eps*gamma1 - gamma3| <= 1e-2 times the total rate); the singularities
-    are removable but unresolved, so callers must fall back to numeric
-    propagation.
-    """
-    return _decompose(rates, eps)[1]
-
-
-def _decompose(rates: DecayRates, eps: float) -> tuple[DampingBasis, InitialDecomposition]:
-    """The damping basis and the initial-state coefficients over it."""
-    _check_simplified(rates, eps)
-    g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
-    basis = damping_basis(rates)
-    s = basis.s_value
-    d = g2 * g3 + g1 * (g2 + g3)
-    scale = max(rates.total, 1e-300)
-    # A2 and A3 carry 1/S and 1/(eps*gamma1 - gamma3), and their terms cancel
-    # to O(1): close to either singular family the populations lose up to
-    # about 5e-15 * total/|eps*gamma1 - gamma3| (measured), so the exact
-    # block propagator takes over there.
-    if abs(s) <= 1e-5 * scale:
-        raise DegenerateModelError("eigenvalue gap S nearly vanishes")
-    if abs(eps * g1 - g3) <= 1e-2 * scale:
-        raise DegenerateModelError("eps*gamma1 - gamma3 nearly vanishes")
-    if abs(d) <= 1e-12 * scale * scale:
-        raise DegenerateModelError("stationary-sector normalization vanishes")
-    if s.imag != 0:
-        raise DegenerateModelError("complex eigenvalue gap outside the simplified family")
-    s = s.real
-    n = (g1 * g1 * (1.0 + eps) - g1 * g2 * (1.0 + 3.0 * eps)
-         + 2.0 * g1 * g3 * (1.0 - eps) + 2.0 * g3 * (2.0 * g3 - g2 * eps))
-    denom = (2.0 * eps + 1.0) * 4.0 * s * d * (eps * g1 - g3)
-    a1 = 1.0 / ((2.0 * eps + 1.0) * d)
-    a2 = 0.5 * (n - s * (g1 + 2.0 * g3)) / denom
-    a3 = -0.5 * (n + s * (g1 + 2.0 * g3)) / denom
-    return basis, InitialDecomposition(a1, a2, a3)
 
 
 def _phase_coupling(params: PhysicalParams, geometry: CavityGeometry | None) -> float:
@@ -475,22 +418,42 @@ def opencavity_rho(rates: DecayRates, eps: float, params: PhysicalParams,
 
     ``t`` is a time or a 1-D array of times (one state per time, stacked).
     ``geometry`` switches the coupling phase to the Gaussian-profile
-    effective value; the decay exponents are unaffected.  Degenerate inputs
-    return the numeric fallback, tagged ``"fallback"``.
+    effective value; the decay exponents are unaffected.  The rates must meet
+    the thermal simplification.  |e,0><e,0| decomposes as A1 rho1 + A2 rho2 +
+    A3 rho3 - (rho4 + rho7)/2 over the damping basis; A2 and A3 carry 1/S and
+    1/(eps*gamma1 - gamma3).  Where the gap or one of the denominators
+    vanishes or nearly does (|S| <= 1e-5 or |eps*gamma1 - gamma3| <= 1e-2
+    times the total rate, a vanishing stationary-sector normalization d, or
+    a complex S), the singularities are removable but unresolved, and the
+    states come from the numeric fallback, tagged ``"fallback"``.
     """
     ts = time_grid(t)
-    try:
-        basis, coeffs = _decompose(rates, eps)
-    except DegenerateModelError:
+    _check_simplified(rates, eps)
+    g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
+    basis = damping_basis(rates)
+    s = basis.s_value
+    d = g2 * g3 + g1 * (g2 + g3)
+    scale = max(rates.total, 1e-300)
+    # A2 and A3's terms cancel to O(1): close to either singular family the
+    # populations lose up to about 5e-15 * total/|eps*gamma1 - gamma3|
+    # (measured), so the exact block propagator takes over there.
+    if (abs(s) <= 1e-5 * scale or abs(eps * g1 - g3) <= 1e-2 * scale
+            or abs(d) <= 1e-12 * scale * scale or s.imag != 0):
         return _fallback_rho(rates, params, t, geometry)
-    g_phase = _phase_coupling(params, geometry)
-    lam2, lam3 = basis.eigenvalues[1].real, basis.eigenvalues[2].real
-    decay4 = (rates.gamma1 + rates.gamma2 + rates.gamma3 + rates.gamma_c) / 4.0
-    c2 = coeffs.a2 * elementwise(math.exp, lam2 * ts)
-    c3 = coeffs.a3 * elementwise(math.exp, lam3 * ts)
+    s = s.real
+    n = (g1 * g1 * (1.0 + eps) - g1 * g2 * (1.0 + 3.0 * eps)
+         + 2.0 * g1 * g3 * (1.0 - eps) + 2.0 * g3 * (2.0 * g3 - g2 * eps))
+    denom = (2.0 * eps + 1.0) * 4.0 * s * d * (eps * g1 - g3)
+    a1 = 1.0 / ((2.0 * eps + 1.0) * d)
+    a2 = 0.5 * (n - s * (g1 + 2.0 * g3)) / denom
+    a3 = -0.5 * (n + s * (g1 + 2.0 * g3)) / denom
+    lam2, lam3, lam4 = (basis.eigenvalues[k].real for k in (1, 2, 3))
+    c2 = a2 * elementwise(math.exp, lam2 * ts)
+    c3 = a3 * elementwise(math.exp, lam3 * ts)
     rho1, rho2, rho3 = basis.components     # diagonals of the population eigenoperators
-    diag = coeffs.a1 * rho1 + c2[:, None] * rho2 + c3[:, None] * rho3
-    coh = -0.5 * elementwise(math.exp, -decay4 * ts)
+    diag = a1 * rho1 + c2[:, None] * rho2 + c3[:, None] * rho3
+    coh = -0.5 * elementwise(math.exp, lam4 * ts)
+    g_phase = _phase_coupling(params, geometry)
     return _state(diag, coh * np.exp(-2j * g_phase * ts), coh * np.exp(2j * g_phase * ts),
                   Basis.DRESSED, t)
 

@@ -137,6 +137,23 @@ def test_simulate_phenom_t0_takes_the_amplitude_product(tmp_path, monkeypatch, p
         assert rows[:, 7].tobytes() == whole[:, 0, 1].imag.tobytes()
 
 
+def test_simulate_phenom_t_blocks_give_the_rows_of_the_whole_grid(tmp_path, params, geometry):
+    # 4301 rows end in a partial block, 4097 in a lone row, which joins its block
+    kind = models.PhenomT.from_temperature(0.3 * params.g, params)
+    rho0 = cf.initial_excited_state(models.Basis.BARE)
+    for end_us, step_us, size in (("430", "0.1", 4301), ("40.96", "0.01", 4097)):
+        out = tmp_path / f"{size}.csv"
+        assert run_cli("simulate", "--model", "phenom-t", "--profile", "gaussian",
+                       "--nstep", "37", "--end-us", end_us, "--step-us", step_us,
+                       "-o", str(out)) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == size
+        whole = evolve.nstep_propagate(kind, params, geometry, rho0, rows[:, 0] * 1e-6, 37).matrix
+        assert rows[:, 3:6].tobytes() == whole[:, [0, 1, 2], [0, 1, 2]].real.tobytes()
+        assert rows[:, 6].tobytes() == whole[:, 0, 1].real.tobytes()
+        assert rows[:, 7].tobytes() == whole[:, 0, 1].imag.tobytes()
+
+
 def test_simulate_phenom_t0_zeno_populations_are_squares(tmp_path):
     # the generic eig product gave rho_22 = -2.1e-16 and trace defects up to
     # 4.8e-10 here, and exited 3 at 391 us (Hermiticity defect 1.002e-9)
@@ -354,7 +371,8 @@ def test_write_csv_memory_does_not_grow_with_the_table(tmp_path):
 @pytest.mark.parametrize("worker, fields, sweep, spare", [
     (cli._entangle_rows, {"step_us": 0.025}, None, 6e6),   # 17 201 rows, 5 blocks
     (cli._simulate_rows, {}, "gamma3=1000:30000:80", 1.5e6),
-], ids=["entangle", "sweep"])
+    (cli._simulate_rows, {"model": "phenom-t", "step_us": 0.025}, None, 5e6),
+], ids=["entangle", "sweep", "phenom-t"])
 def test_table_memory_is_the_table_plus_one_block(worker, fields, sweep, spare):
     config = cli.RunConfig(**fields)
     tracemalloc.start()
@@ -363,7 +381,7 @@ def test_table_memory_is_the_table_plus_one_block(worker, fields, sweep, spare):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the states of the whole grid at once took 12.9 and 2.6 MB beyond the table
+    # the states of the whole grid at once took 12.9, 2.6 and 7.6 MB beyond the table
     assert peak <= table.nbytes + spare
 
 
@@ -372,7 +390,6 @@ _EXCEPTIONS = [
     core.ValidationError("matrix entries must be finite"),
     core.ValidationError("trace defect 1.000e-09 > 1e-09", state=5299),
     cli.ConfigError("unknown config field 'x'"),
-    cf.DegenerateModelError("S vanishes"),
     evolve.StepUnderflowError(1.5e-6),
     fitting.RankDeficiencyError(["gamma1", "gamma3"]),
 ]
@@ -928,12 +945,14 @@ def test_phenom_t_stiff_rates_are_exact(tmp_path, params, block_expm, capsys):
         code == cli.EXIT_VALIDATION and err.startswith("error: ") and err.count("\n") == 1)
 
 
-@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
-@pytest.mark.parametrize("value", ["0", "-0", "1e-200", "inf", "nan"])
-def test_davies_check_rejects_degenerate_coupling(flag, value, capsys):
+@pytest.mark.parametrize("flag, value, rule", [
+    pytest.param(flag, value, "nonzero and finite", id=f"{value}-{flag}")
+    for value in ("0", "-0", "1e-200", "inf", "nan") for flag in ("--alpha", "--beta")
+] + [pytest.param("--n-max", value, ">= 1", id=f"{value}---n-max") for value in ("0", "-1")])
+def test_davies_check_rejects_degenerate_coupling(flag, value, rule, capsys):
     assert run_cli("davies-check", flag, value) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {flag} must be nonzero and finite") and err.count("\n") == 1
+    assert err.startswith(f"error: {flag} must be {rule}") and err.count("\n") == 1
 
 
 def test_davies_check_rejects_overflowing_weights(capsys):

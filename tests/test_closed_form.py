@@ -279,36 +279,6 @@ def test_generator_annihilates_stationary_operator(params, paper_rates):
     assert np.max(np.abs(out)) <= 1e-12 * paper_rates.total
 
 
-# ---------------------------------------------------------------------------
-# initial decomposition
-# ---------------------------------------------------------------------------
-
-def test_initial_decomposition_reconstructs_initial_state(params, paper_rates):
-    coeffs = cf.initial_decomposition(paper_rates, 0.0466)
-    assert coeffs.a4 == -0.5 and coeffs.a7 == -0.5
-    basis = cf.damping_basis(paper_rates)
-    total = (coeffs.a1 * basis.operators[0] + coeffs.a2 * basis.operators[1]
-             + coeffs.a3 * basis.operators[2] - 0.5 * basis.operators[3]
-             - 0.5 * basis.operators[6])
-    expected = cf.initial_excited_state(Basis.DRESSED).matrix
-    assert np.max(np.abs(total - expected)) <= 1e-10
-
-
-def test_initial_decomposition_solves_linear_system(params):
-    # independent oracle: solve the 3x3 component system directly
-    rates = models.DecayRates.simplified(330.0, 77.0, 5100.0, 0.21)
-    coeffs = cf.initial_decomposition(rates, 0.21)
-    basis = cf.damping_basis(rates)
-    sol = np.linalg.solve(basis.components.T, np.array([0.5, 0.5, 0.0]))
-    assert np.allclose([coeffs.a1, coeffs.a2, coeffs.a3], sol, rtol=1e-9, atol=1e-15)
-
-
-def test_initial_decomposition_degenerate_raises():
-    rates = models.DecayRates.simplified(1000.0, 1000.0, 46.6, 0.0466)
-    with pytest.raises(cf.DegenerateModelError):
-        cf.initial_decomposition(rates, 0.0466)
-
-
 # gamma3 = eps*gamma1 + d*total0, with total0 the total rate at d = 0: as d -> 0
 # the gap S and eps*gamma1 - gamma3 vanish together at gamma2 = gamma1, and
 # eps*gamma1 - gamma3 alone at gamma2 = 300 or 1
@@ -352,8 +322,14 @@ def test_opencavity_negative_gap_square_takes_the_fallback(params):
 # open-cavity closed forms
 # ---------------------------------------------------------------------------
 
-def test_opencavity_initial_condition(params, paper_rates):
-    rho = cf.opencavity_rho(paper_rates, 0.0466, params, 0.0)
+# the paper's rates (gamma3 = 0.07 g) and a point with gamma1 != gamma2
+@pytest.mark.parametrize("g1, g2, g3, eps", [(17.73, 17.73, None, 0.0466),
+                                              (330.0, 77.0, 5100.0, 0.21)],
+                         ids=["paper", "untied"])
+def test_opencavity_initial_condition(params, g1, g2, g3, eps):
+    rates = models.DecayRates.simplified(g1, g2, 0.07 * params.g if g3 is None else g3, eps)
+    rho = cf.opencavity_rho(rates, eps, params, 0.0)
+    assert rho.note is None   # the closed form, not the fallback
     expected = cf.initial_excited_state(Basis.DRESSED).matrix
     assert np.max(np.abs(rho.matrix - expected)) <= 1e-12
 
