@@ -22,9 +22,9 @@ from .evolve import (
     CavityGeometry, StepUnderflowError, Trajectory, effective_time,
     gaussian_coupling, integrate, integrate_stack, nstep_propagate, true_time,
 )
-from .dephase import convolve_energy, convolve_pg, gamma_kernel
+from .dephase import convolve_energy, convolve_pg
 from .davies import DaviesOperator, SpectralWeights, assemble_generator, davies_decompose
-from .entangle import CoherenceResult, coherence_e0_g1, embed4, ppt_spectrum
+from .entangle import embed4, ppt_spectrum
 from .fitting import (
     ExperimentSeries, FitProblem, FitResult, RabiFitConfig, RankDeficiencyError,
     TimeConvention, fit_q, fit_rabi, levenberg_marquardt, q_from_rate,

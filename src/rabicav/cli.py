@@ -336,14 +336,6 @@ def ingest_series(path: str, convention: fitting.TimeConvention) -> fitting.Expe
                                     np.array(sigma) if with_sigma else None, convention)
 
 
-def emit_series(path: str | None, series: fitting.ExperimentSeries) -> None:
-    header = ["t_us", "p_g"] + (["sigma"] if series.sigma is not None else [])
-    columns = [series.times * 1e6, series.p_g]
-    if series.sigma is not None:
-        columns.append(series.sigma)
-    write_csv(path, header, np.column_stack(columns))
-
-
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
@@ -474,7 +466,7 @@ def _entangle_rows(config: RunConfig, ts_us: np.ndarray) -> tuple[list[str], np.
     rho_d = cf.opencavity_rho(config.rates(), config.eps, params, ts_us * 1e-6, geometry=geom)
     rho_b = models.dressed_transform(rho_d, Basis.BARE)
     spec = entangle.ppt_spectrum(entangle.embed4(rho_b))
-    coh = rho_b.matrix[:, 0, 1]   # <e,0|rho|g,1>, as entangle.coherence_e0_g1 reports it
+    coh = rho_b.matrix[:, 0, 1]   # the bare coherence <e,0|rho|g,1>
     header = ["t_us", "lambda1", "lambda2", "lambda3", "lambda4",
               "coherence_re", "coherence_im"]
     return header, np.column_stack([ts_us, spec, coh.real, coh.imag])

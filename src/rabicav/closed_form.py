@@ -27,9 +27,7 @@ import numpy as np
 
 from .core import BLOCK, Basis, DensityMatrix, ValidationError, elementwise, time_grid
 from .evolve import CavityGeometry, SQRT_PI, _block_family, _midpoint_couplings
-from .models import (
-    DecayRates, OpenCavity, PhysicalParams, _unit, dressed_hamiltonian, unvec, vec,
-)
+from .models import DecayRates, OpenCavity, PhysicalParams, dressed_hamiltonian, unvec, vec
 
 _DRESSED_INITIAL = np.array([
     [0.5, -0.5, 0.0],
@@ -84,7 +82,7 @@ class ExpSum:
 
     def smeared(self, delta_t: float, t):
         """The sum averaged over a gamma-distributed evolution time of mean t
-        and variance t*delta_t (:func:`rabicav.dephase.gamma_kernel`).
+        and variance t*delta_t (the gamma kernel of :mod:`rabicav.dephase`).
 
         The kernel's moment-generating identity maps each e^{z t} to
         e^{phi t} with phi = -log(1 - z*delta_t)/delta_t (Bonifacio,
@@ -285,19 +283,19 @@ def microscopic_pg(g: float, gamma1: float, gamma2: float, t) -> float | np.ndar
 
 @dataclass(frozen=True, eq=False)
 class DampingBasis:
-    """The nine eigenoperators and eigenvalues of the open-cavity generator.
+    """The nine eigenvalues of the open-cavity generator.
 
     ``components`` holds the rows (x_i, y_i, z_i), i = 1..3, of the
     population-sector eigenoperators rho_i = x_i|O+><O+| + y_i|O-><O-| +
     z_i|O0><O0| in the normalization fixed by the closed-form coefficient
-    expressions.  ``s_value`` is the eigenvalue gap parameter; when |S| is at
-    most 1e-12 times the total rate the basis is flagged degenerate: the
-    states take the numeric fallback there, the curves the limit of their
-    coincident pair.
+    expressions; lambda4..lambda9 belong to the dressed units E_01, E_02,
+    E_12, E_10, E_20 and E_21.  ``s_value`` is the eigenvalue gap parameter;
+    when |S| is at most 1e-12 times the total rate the basis is flagged
+    degenerate: the states take the numeric fallback there, the curves the
+    limit of their coincident pair.
     """
 
     eigenvalues: np.ndarray       # shape (9,), complex
-    operators: list[np.ndarray]   # nine 3x3 dressed-basis matrices
     components: np.ndarray        # shape (3, 3): rows (x_i, y_i, z_i)
     s_value: complex
     degenerate: bool
@@ -356,10 +354,7 @@ def damping_basis(rates: DecayRates, params: PhysicalParams | None = None) -> Da
     lam[6] = np.conj(lam[3])
     lam[7] = np.conj(lam[4])
     lam[8] = np.conj(lam[5])
-
-    operators = [np.diag(components[i]).astype(complex) for i in range(3)]
-    operators += [_unit(i, j) for i, j in ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1))]
-    return DampingBasis(lam, operators, components, s, degenerate)
+    return DampingBasis(lam, components, s, degenerate)
 
 
 def _check_simplified(rates: DecayRates, eps: float):
@@ -391,11 +386,16 @@ def _fallback(rates: DecayRates, params: PhysicalParams, t,
     eigenvalues lam and the modes: vec(rho(t)) = modes @ exp(lam t).
     For the Gaussian profile the coupling enters the generator only through
     the off-diagonal phases, so propagating with the effective coupling
-    reproduces the profile-averaged state.
+    reproduces the profile-averaged state; an overflowing generator is a ValidationError.
     """
     rho0 = initial_excited_state(Basis.DRESSED)
     block, l0, slope = _block_family(OpenCavity(rates), rho0)
-    lam, vmat = np.linalg.eig(l0 + _phase_coupling(params, geometry) * slope)
+    with np.errstate(over="ignore", invalid="ignore"):
+        generator = l0 + _phase_coupling(params, geometry) * slope
+    if not np.isfinite(generator).all():
+        raise ValidationError(
+            f"g = {params.g!r} is too large: the open-cavity generator overflows")
+    lam, vmat = np.linalg.eig(generator)
     modes = np.zeros((9, block.size), dtype=complex)
     modes[block] = vmat * np.linalg.solve(vmat, vec(rho0.matrix)[block])
     ts = time_grid(t)

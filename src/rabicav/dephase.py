@@ -19,33 +19,9 @@ import math
 import numpy as np
 
 from .closed_form import _energy_sum, _pg_sum
-from .core import ValidationError, time_grid
+from .core import ValidationError
 from .evolve import CavityGeometry
 from .models import DecayRates, PhysicalParams
-
-
-def gamma_kernel(t: float, t_prime, delta_t: float):
-    """Probability density of the smeared evolution time.
-
-    Gamma distribution with shape t/Dt and scale Dt: normalized, mean t,
-    variance t*Dt.  ``delta_t == 0`` has no density (the caller must use the
-    sharp-time identity path instead).
-    """
-    if not (0 < t < math.inf and 0 < delta_t < math.inf):   # a NaN fails too
-        raise ValidationError("gamma_kernel needs finite t > 0 and delta_t > 0")
-    shape = t / delta_t
-    tp = time_grid(t_prime, "t_prime")
-    out = np.zeros_like(tp)
-    pos = tp > 0
-    x = tp[pos] / delta_t
-    log_pdf = -x + (shape - 1.0) * np.log(x) - math.log(delta_t) - math.lgamma(shape)
-    out[pos] = np.exp(log_pdf)
-    if np.any(~pos):
-        if shape < 1.0:
-            out[~pos] = np.inf
-        elif shape == 1.0:
-            out[~pos] = 1.0 / delta_t
-    return float(out[0]) if np.ndim(t_prime) == 0 else out
 
 
 def _gamma_gauss_rule(shape: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -58,10 +58,11 @@ class PhysicalParams:
 
 
 def boltzmann_exponent(omega: float, temperature: float) -> float:
-    """hbar*omega/(k*T), infinite at ``temperature == 0``."""
-    if temperature == 0.0:
+    """hbar*omega/(k*T), infinite where k*T is 0 (T = 0, or k*T underflows)."""
+    kt = K_B * temperature
+    if kt == 0.0:
         return math.inf
-    return HBAR * omega / (K_B * temperature)
+    return HBAR * omega / kt
 
 
 def kms_ratio(omega: float, params: PhysicalParams) -> float:

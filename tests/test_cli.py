@@ -20,7 +20,7 @@ import pytest
 
 import rabicav
 from rabicav import closed_form as cf
-from rabicav import acceptance, cli, core, dephase, entangle, evolve, fitting, models
+from rabicav import acceptance, cli, core, dephase, evolve, fitting, models
 from rabicav.core import BLOCK
 
 
@@ -532,16 +532,16 @@ def test_sweep_equals_per_value_runs_in_order(tmp_path):
     assert lines == ["sweep_gamma3," + header] + expected
 
 
-def test_entangle_coherence_columns_match_coherence_e0_g1(tmp_path, params, paper_rates,
-                                                          geometry):
+def test_entangle_coherence_columns_match_the_bare_state(tmp_path, params, paper_rates,
+                                                         geometry):
     out = tmp_path / "ent.csv"
     assert run_cli("entangle", "--profile", "gaussian", "--end-us", "60", "--step-us", "0.5",
                    "-o", str(out)) == 0
     _, rows = read_csv(out)
     for row in rows[::13]:
-        coh = entangle.coherence_e0_g1(paper_rates, 0.0466, params, row[0] * 1e-6,
-                                       geometry=geometry)
-        assert (row[5], row[6]) == (coh.value.real, coh.value.imag)
+        rho_d = cf.opencavity_rho(paper_rates, 0.0466, params, row[0] * 1e-6, geometry=geometry)
+        coh = models.dressed_transform(rho_d, core.Basis.BARE).matrix[0, 1]
+        assert (row[5], row[6]) == (coh.real, coh.imag)
 
 
 def test_config_file_and_overrides(tmp_path, params):
@@ -645,8 +645,7 @@ def test_fit_rabi_writes_the_config_output(tmp_path, params, paper_rates, geomet
     ts = np.arange(1.0, 41.0) * 1e-6
     data = np.asarray(cf.opencavity_pg(paper_rates, 0.0466, params, ts, geometry=geometry))
     path = tmp_path / "data.csv"
-    cli.emit_series(str(path), fitting.ExperimentSeries(ts, data, None,
-                                                        fitting.TimeConvention.TRUE))
+    cli.write_csv(str(path), ["t_us", "p_g"], np.column_stack([ts * 1e6, data]))
     out = tmp_path / "fit.csv"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"output": str(out)}))
@@ -694,20 +693,18 @@ def test_series_round_trip(tmp_path):
     times = np.array([1.37e-6, 2.11e-6, 9.997e-6])
     p_g = np.array([0.123456789012345, 0.5, 0.97])
     sigma = np.array([0.01, 0.02, 0.011])
-    series = fitting.ExperimentSeries(times, p_g, sigma, fitting.TimeConvention.TRUE)
-    cli.emit_series(str(path), series)
+    cli.write_csv(str(path), ["t_us", "p_g", "sigma"], np.column_stack([times * 1e6, p_g, sigma]))
     back = cli.ingest_series(str(path), fitting.TimeConvention.TRUE)
-    assert np.array_equal(back.times, series.times)
-    assert np.array_equal(back.p_g, series.p_g)
-    assert np.array_equal(back.sigma, series.sigma)
+    assert np.array_equal(back.times, times)
+    assert np.array_equal(back.p_g, p_g)
+    assert np.array_equal(back.sigma, sigma)
 
 
 def test_fit_rabi_end_to_end(tmp_path, params, paper_rates, geometry, capsys):
     ts = np.arange(1.0, 201.0) * 1e-6
     data = np.asarray(cf.opencavity_pg(paper_rates, 0.0466, params, ts, geometry=geometry))
     path = tmp_path / "data.csv"
-    series = fitting.ExperimentSeries(ts, data, None, fitting.TimeConvention.TRUE)
-    cli.emit_series(str(path), series)
+    cli.write_csv(str(path), ["t_us", "p_g"], np.column_stack([ts * 1e6, data]))
     out = tmp_path / "fit.csv"
     code = run_cli("fit-rabi", "--data", str(path), "--profile", "gaussian",
                    "--gamma1", "25", "--gamma2", "25", "--gamma3",
@@ -725,9 +722,8 @@ def test_fit_rabi_effective_time_flag(tmp_path, params, paper_rates, geometry, c
     ts = np.arange(1.0, 201.0) * 1e-6
     data = np.asarray(cf.opencavity_pg(paper_rates, 0.0466, params, ts, geometry=geometry))
     path = tmp_path / "data.csv"
-    series = fitting.ExperimentSeries(evolve.effective_time(ts, geometry), data, None,
-                                      fitting.TimeConvention.EFFECTIVE)
-    cli.emit_series(str(path), series)
+    cli.write_csv(str(path), ["t_us", "p_g"],
+                  np.column_stack([evolve.effective_time(ts, geometry) * 1e6, data]))
     code = run_cli("fit-rabi", "--data", str(path), "--profile", "gaussian",
                    "--time-convention", "effective", "--gamma1", "25",
                    "--gamma2", "25", "--gamma3", str(0.1 * params.g),
@@ -796,8 +792,8 @@ def test_fit_rabi_rate_and_spread_have_finite_errors(tmp_path, params, paper_rat
     truth = dephase.convolve_pg(paper_rates, 0.0466, params, geometry, 2.37e-6, ts)
     data = np.clip(truth + np.random.default_rng(2).normal(scale=0.01, size=ts.size), 0, 1)
     path = tmp_path / "data.csv"
-    cli.emit_series(str(path), fitting.ExperimentSeries(
-        ts, data, np.full(ts.size, 0.01), fitting.TimeConvention.TRUE))
+    cli.write_csv(str(path), ["t_us", "p_g", "sigma"],
+                  np.column_stack([ts * 1e6, data, np.full(ts.size, 0.01)]))
     code = run_cli("fit-rabi", "--data", str(path), "--profile", "gaussian",
                    "--delta-t-us", "2.37", "--free", "gamma1,delta_t")
     assert code == 0
@@ -836,9 +832,8 @@ def test_fit_commands_reject_other_models(tmp_path, params, paper_rates, geometr
                                           model, message, capsys):
     ts = np.arange(1.0, 41.0) * 1e-6
     path = tmp_path / "data.csv"
-    cli.emit_series(str(path), fitting.ExperimentSeries(
-        ts, cf.opencavity_pg(paper_rates, 0.0466, params, ts, geometry=geometry), None,
-        fitting.TimeConvention.TRUE))
+    p_g = cf.opencavity_pg(paper_rates, 0.0466, params, ts, geometry=geometry)
+    cli.write_csv(str(path), ["t_us", "p_g"], np.column_stack([ts * 1e6, p_g]))
     data = ("--data", str(path)) if command == "fit-rabi" else ()
     assert run_cli(command, "--model", model, *data) == cli.EXIT_VALIDATION
     captured = capsys.readouterr()
@@ -904,6 +899,8 @@ def test_simulate_checks_the_profile_before_any_state(monkeypatch, capsys):
     (("simulate", "--gamma1", "1e300"), "the gap S^2 overflows"),
     (("energy", "--gamma1", "1e300"), "the gap S^2 overflows"),
     (("simulate", "--model", "phenom-t0", "--gamma", "1e300"), "gamma = 1e+300 is too large"),
+    (("simulate", "--g", "1e308", "--gamma3", "1"), "the open-cavity generator overflows"),
+    (("entangle", "--g", "1e308", "--gamma3", "1"), "the open-cavity generator overflows"),
 ])
 def test_extreme_rates_are_validation_errors(tmp_path, argv, message, capsys):
     out = tmp_path / "out.csv"
@@ -913,6 +910,19 @@ def test_extreme_rates_are_validation_errors(tmp_path, argv, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("davies-check",),
+    ("simulate", "--model", "phenom-t", "--end-us", "5"),
+], ids=["davies-check", "simulate-phenom-t"])
+def test_underflowing_temperature_is_zero_temperature(argv, capsys):
+    # k*T rounds to 0 below about 7e-301 K: no upward jumps, as at T = 0
+    outputs = []
+    for temperature in ("1e-320", "0"):
+        assert run_cli(*argv, "--temperature", temperature) == cli.EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
 
 
 def test_phenom_t_zeno_limit(tmp_path):

@@ -8,9 +8,29 @@ from rabicav import entangle, evolve, models
 from rabicav.core import Basis, DensityMatrix, ValidationError, hermitian_eigen, partial_transpose
 
 
-def _bare_state(rates, eps, params, t):
+def _bare_state(rates, eps, params, t, geometry=None):
     return models.dressed_transform(
-        cf.opencavity_rho(rates, eps, params, t), Basis.BARE)
+        cf.opencavity_rho(rates, eps, params, t, geometry=geometry), Basis.BARE)
+
+
+def _coherence(rates, eps, params, t, geometry=None) -> complex:
+    """The bare coherence <e,0|rho|g,1>, read as the entangle command reads it."""
+    return complex(_bare_state(rates, eps, params, t, geometry).matrix[0, 1])
+
+
+def coherence_formula(gamma1: float, gamma2: float, gamma3: float,
+                      g: float, t: float) -> complex:
+    """Single-line closed-form expression for the bare coherence.
+
+    Kept only as a comparison target: its sine term decays with gamma3
+    counted once and its real part does not vanish for gamma1 == gamma2,
+    both in conflict with the damping-basis solution.
+    """
+    y = gamma1 - gamma2 + gamma3
+    frac = -t / 2.0 if y == 0.0 else math.expm1(-y * t / 2.0) / y
+    re = 0.25 * math.exp(-gamma2 * t / 2.0) * (gamma1 - gamma2 + 2.0 * gamma3) * frac
+    im = 0.5 * math.exp(-(gamma1 + gamma2 + gamma3) * t / 4.0) * math.sin(2.0 * g * t)
+    return complex(re, im)
 
 
 def test_embed4_ground_state():
@@ -92,9 +112,9 @@ def test_ppt_witness_tracks_coherence(params, paper_rates):
 def test_coherence_lossless_is_pure_sine(params):
     rates = models.DecayRates()
     for t in (0.4 / params.g, 2.2 / params.g):
-        res = entangle.coherence_e0_g1(rates, 0.0, params, t)
+        value = _coherence(rates, 0.0, params, t)
         expected = 0.5j * math.sin(2.0 * params.g * t)
-        assert res.value == pytest.approx(expected, abs=1e-9)
+        assert value == pytest.approx(expected, abs=1e-9)
 
 
 def test_coherence_matches_rk_oracle(params, paper_rates):
@@ -103,43 +123,42 @@ def test_coherence_matches_rk_oracle(params, paper_rates):
     rho0 = cf.initial_excited_state(Basis.DRESSED)
     traj = evolve.integrate(liou, rho0, t, rtol=1e-12, atol=1e-14)
     rho_b = models.dressed_transform(traj.states[-1], Basis.BARE)
-    res = entangle.coherence_e0_g1(paper_rates, 0.0466, params, t)
-    assert abs(res.value - rho_b.matrix[0, 1]) <= 1e-8
+    value = _coherence(paper_rates, 0.0466, params, t)
+    assert abs(value - rho_b.matrix[0, 1]) <= 1e-8
 
 
 def test_coherence_real_part_vanishes_iff_equal_rates(params):
     g3 = 0.07 * params.g
     equal = models.DecayRates.simplified(300.0, 300.0, g3, 0.0466)
     node = math.pi / (2.0 * params.g)  # sin(2 g t) = 0
-    res = entangle.coherence_e0_g1(equal, 0.0466, params, node)
-    assert abs(res.value) <= 1e-10
+    assert abs(_coherence(equal, 0.0466, params, node)) <= 1e-10
     # gamma1 != gamma2 leaves a real part even where the sine vanishes, and
     # even when the combination gamma1 - gamma2 + 2*gamma3 is tuned to zero
     unequal = models.DecayRates.simplified(300.0, 300.0 + 2.0 * g3, g3, 0.0466)
-    res = entangle.coherence_e0_g1(unequal, 0.0466, params, node)
-    assert abs(res.value) > 1e-7
-    assert abs(entangle.coherence_formula(unequal.gamma1, unequal.gamma2,
-                                          unequal.gamma3, params.g, node)) <= 1e-15
+    assert abs(_coherence(unequal, 0.0466, params, node)) > 1e-7
+    assert abs(coherence_formula(unequal.gamma1, unequal.gamma2,
+                                 unequal.gamma3, params.g, node)) <= 1e-15
 
 
 def test_coherence_formula_deviation_reported(params, paper_rates):
     # the printed expression decays its sine term with gamma3 counted once;
     # the solution counts it twice, so the two drift apart measurably
     t = 40e-6
-    res = entangle.coherence_e0_g1(paper_rates, 0.0466, params, t)
+    value = _coherence(paper_rates, 0.0466, params, t)
     gamma4 = (paper_rates.gamma1 + paper_rates.gamma2 + 2 * paper_rates.gamma3) / 4.0
-    assert abs(res.value.imag) == pytest.approx(
+    assert abs(value.imag) == pytest.approx(
         0.5 * math.exp(-gamma4 * t) * abs(math.sin(2 * params.g * t)), rel=1e-6)
-    assert res.deviation == pytest.approx(abs(res.value - res.formula_value), rel=1e-12)
-    assert res.deviation > 1e-3
+    formula = coherence_formula(paper_rates.gamma1, paper_rates.gamma2, paper_rates.gamma3,
+                                params.g, t)
+    assert abs(value - formula) > 1e-3
 
 
 def test_coherence_gaussian_profile_phase(params, paper_rates, geometry):
     t = 25e-6
-    res = entangle.coherence_e0_g1(paper_rates, 0.0466, params, t, geometry=geometry)
+    value = _coherence(paper_rates, 0.0466, params, t, geometry)
     g_eff = params.g * evolve.SQRT_PI * geometry.waist / geometry.diameter
     gamma4 = (paper_rates.gamma1 + paper_rates.gamma2 + 2 * paper_rates.gamma3) / 4.0
-    assert res.value.imag == pytest.approx(
+    assert value.imag == pytest.approx(
         0.5 * math.exp(-gamma4 * t) * math.sin(2 * g_eff * t), rel=1e-9)
 
 
