@@ -290,10 +290,11 @@ def criterion_12_separability() -> CriterionResult:
     p = paper_params()
     rates = paper_rates(p)
     ts = np.linspace(0.0, 106e-6, 2121)
-    rho_d = cf.opencavity_rho(rates, EPS_PAPER, p, ts)
-    rho4 = entangle.embed4(models.dressed_transform(rho_d, Basis.BARE))
-    spec = entangle.ppt_spectrum(rho4)
+    rho_b = models.dressed_transform(cf.opencavity_rho(rates, EPS_PAPER, p, ts), Basis.BARE)
+    spec = entangle.ppt_spectrum(rho_b)
     lam4 = spec[:, 3]
+    rho4 = np.zeros((len(ts), 4, 4), dtype=complex)
+    rho4[:, 1:, 1:] = rho_b.matrix
     # eigvalsh reads one triangle, so only a Hermitian transpose is cross-checked
     pt = partial_transpose(rho4)
     scale = np.maximum(1.0, np.abs(pt).max(axis=(1, 2)))

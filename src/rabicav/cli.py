@@ -465,7 +465,7 @@ def _entangle_rows(config: RunConfig, ts_us: np.ndarray) -> tuple[list[str], np.
     geom = config.geometry() if config.profile == "gaussian" else None
     rho_d = cf.opencavity_rho(config.rates(), config.eps, params, ts_us * 1e-6, geometry=geom)
     rho_b = models.dressed_transform(rho_d, Basis.BARE)
-    spec = entangle.ppt_spectrum(entangle.embed4(rho_b))
+    spec = entangle.ppt_spectrum(rho_b)
     coh = rho_b.matrix[:, 0, 1]   # the bare coherence <e,0|rho|g,1>
     header = ["t_us", "lambda1", "lambda2", "lambda3", "lambda4",
               "coherence_re", "coherence_im"]

@@ -37,12 +37,10 @@ _DRESSED_INITIAL = np.array([
 
 
 def initial_excited_state(basis: Basis) -> DensityMatrix:
-    """|e,0><e,0| in the requested 3-level basis."""
+    """|e,0><e,0| in the requested basis."""
     if basis is Basis.BARE:
         return DensityMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex), basis)
-    if basis is Basis.DRESSED:
-        return DensityMatrix(_DRESSED_INITIAL.copy(), basis)
-    raise ValidationError("initial state defined for 3-level bases only")
+    return DensityMatrix(_DRESSED_INITIAL.copy(), basis)
 
 
 def _state(diag: np.ndarray, m01: np.ndarray, m10: np.ndarray, basis: Basis, t,
@@ -224,6 +222,8 @@ def phenom_T0_rho(g: float, gamma: float, t, geometry: CavityGeometry | None = N
     ts = time_grid(t)
     if not (g > 0 and gamma >= 0):   # a NaN fails too
         raise ValidationError("need g > 0, gamma >= 0")
+    if not math.isfinite(16.0 * g * g):
+        raise ValidationError(f"g = {g!r} is too large: the closed form overflows")
     if not math.isfinite(gamma * gamma - 16.0 * g * g):
         raise ValidationError(f"gamma = {gamma!r} is too large: the closed form overflows")
     gs = _midpoint_couplings(g, geometry, n)
@@ -257,6 +257,7 @@ def microscopic_rho(g: float, gamma1: float, gamma2: float, t) -> DensityMatrix:
     ts = time_grid(t)
     if gamma1 < 0 or gamma2 < 0:
         raise ValidationError("rates must be >= 0")
+    _check_phase(g, g, ts)
     e1 = np.exp(-gamma1 * ts / 2.0)
     e2 = np.exp(-gamma2 * ts / 2.0)
     coh = -0.5 * np.exp(-(gamma1 + gamma2) * ts / 4.0)
@@ -376,6 +377,12 @@ def _phase_coupling(params: PhysicalParams, geometry: CavityGeometry | None) -> 
     return params.g * SQRT_PI * geometry.waist / geometry.diameter
 
 
+def _check_phase(g: float, g_phase: float, ts: np.ndarray) -> None:
+    """A ValidationError naming ``g`` where the phase 2 g_phase t overflows."""
+    if not math.isfinite(2.0 * g_phase * float(ts.max(initial=0.0))):
+        raise ValidationError(f"g = {g!r} is too large: the phase 2 g t overflows")
+
+
 def _fallback(rates: DecayRates, params: PhysicalParams, t,
               geometry: CavityGeometry | None):
     """Exact propagation on the invariant block of |e,0><e,0| (degenerate inputs).
@@ -454,6 +461,7 @@ def opencavity_rho(rates: DecayRates, eps: float, params: PhysicalParams,
     diag = a1 * rho1 + c2[:, None] * rho2 + c3[:, None] * rho3
     coh = -0.5 * elementwise(math.exp, lam4 * ts)
     g_phase = _phase_coupling(params, geometry)
+    _check_phase(params.g, g_phase, ts)
     return _state(diag, coh * np.exp(-2j * g_phase * ts), coh * np.exp(2j * g_phase * ts),
                   Basis.DRESSED, t)
 

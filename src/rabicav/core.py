@@ -44,20 +44,14 @@ class ValidationError(ValueError):
 
 
 class Basis(Enum):
-    """Basis tag for 3- and 4-dimensional density matrices.
+    """Basis tag for 3-dimensional density matrices.
 
     BARE    -- |e,0>, |g,1>, |g,0>
     DRESSED -- |O+>, |O->, |O0> (single-excitation dressed pair + joint ground)
-    BARE4   -- |e,1>, |e,0>, |g,1>, |g,0>
     """
 
     BARE = "bare"
     DRESSED = "dressed"
-    BARE4 = "bare4"
-
-    @property
-    def dim(self) -> int:
-        return 4 if self is Basis.BARE4 else 3
 
 
 def as_square_matrix(matrix: np.ndarray, dims: tuple[int, ...] = ALLOWED_DIMS) -> np.ndarray:
@@ -108,7 +102,7 @@ def time_grid(t, name: str = "t") -> np.ndarray:
 class DensityMatrix:
     """Small Hermitian, trace-one, positive matrix tagged with its basis.
 
-    ``matrix`` is one ``(d, d)`` matrix or a ``(N, d, d)`` stack of them, e.g.
+    ``matrix`` is one ``(3, 3)`` matrix or a ``(N, 3, 3)`` stack of them, e.g.
     a state at every point of a time grid; the basis and note apply to every
     member.  For a stack the defect properties hold one value per member and
     a failed check names the first failing index; ``len`` and indexing give
@@ -132,12 +126,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        if m.ndim not in (2, 3) or m.shape[-2:] != (3, 3):
             raise ValidationError(
-                f"expected a square matrix or a stack of them, got shape {m.shape}")
-        if m.shape[-1] != self.basis.dim:
-            raise ValidationError(
-                f"dimension {m.shape[-1]} inconsistent with basis {self.basis}")
+                f"expected a 3x3 matrix or a stack of them, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
         self._check((_TRAJECTORY_TOL,) * 3)
 
@@ -217,21 +208,20 @@ def hermitian_eigen(matrix: np.ndarray):
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def partial_transpose(rho4: DensityMatrix | np.ndarray) -> np.ndarray:
-    """Transpose the atomic index of a 4x4 matrix in the BARE4 ordering.
+def partial_transpose(matrix: np.ndarray) -> np.ndarray:
+    """Transpose the atomic index of a 4x4 matrix in the ordering
+    |e,1>, |e,0>, |g,1>, |g,0>, or of each member of an ``(N, 4, 4)`` stack.
 
     The result has the populations on the diagonal and the |e,0><g,1|
     coherences moved to the anti-diagonal corners; it is Hermitian whenever
     the input is, and applying the operation twice returns the input exactly
-    (the map is a pure permutation of entries).  A stacked state gives one
-    matrix per member.  A raw 4x4 array is accepted so the output, which is
-    generally not positive, can be transposed back.
+    (the map is a pure permutation of entries).  The input is a raw array, so
+    the output, which is generally not positive, can be transposed back.
     """
-    if isinstance(rho4, DensityMatrix):
-        if rho4.basis is not Basis.BARE4:
-            raise ValidationError("partial_transpose expects the BARE4 ordering")
-        m = rho4.matrix
-    else:
-        m = as_square_matrix(rho4, dims=(4,))
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
+        raise ValidationError(f"expected a 4x4 matrix or a stack of them, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix entries must be finite")
     blocks = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
     return np.ascontiguousarray(np.swapaxes(blocks, -4, -2).reshape(m.shape))

@@ -318,14 +318,19 @@ def nstep_propagate(kind: ModelKind, params: PhysicalParams,
     z = np.tile(vec(rho0.matrix)[block], (ts.size, 1)) @ vinv[order[0]].T
     nxt = np.append(order[1:], u)
     chunk = max(1, BLOCK // ts.size)
-    for lo in range(0, n, chunk):
-        idx = order[lo:lo + chunk]
-        links = vinv[nxt[lo:lo + chunk]] @ vmat[idx]
-        exps = np.exp(lam[idx][:, None, :] * dt)
-        for j, e, c in zip(idx.tolist(), exps, links):
-            gen = series.get(j)
-            w = e * z if gen is None else (_expm_rows(gen, dt) @ z[:, :, None])[:, :, 0]
-            z = w @ c.T
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow ends as a non-finite z
+        for lo in range(0, n, chunk):
+            idx = order[lo:lo + chunk]
+            links = vinv[nxt[lo:lo + chunk]] @ vmat[idx]
+            exps = np.exp(lam[idx][:, None, :] * dt)
+            for j, e, c in zip(idx.tolist(), exps, links):
+                gen = series.get(j)
+                w = e * z if gen is None else (_expm_rows(gen, dt) @ z[:, :, None])[:, :, 0]
+                z = w @ c.T
+    if not np.isfinite(z).all():
+        culprit = (f"g = {params.g!r} is" if params.g * np.abs(slope).max() >= np.abs(l0).max()
+                   else "the rates are")
+        raise ValidationError(f"{culprit} too large: the n-step propagator overflows")
 
     out = np.zeros((ts.size, rho0.matrix.size), dtype=complex)
     out[:, block] = z

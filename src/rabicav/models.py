@@ -210,12 +210,8 @@ def dressed_state_matrix() -> np.ndarray:
 
 def dressed_transform(rho: DensityMatrix, target: Basis) -> DensityMatrix:
     """Unitary change of basis between BARE and DRESSED for 3x3 states or stacks."""
-    if target not in (Basis.BARE, Basis.DRESSED):
-        raise ValidationError("target basis must be BARE or DRESSED")
     if rho.basis is target:
         raise ValidationError("state already in the target basis")
-    if rho.dim != 3:
-        raise ValidationError("dressed_transform expects a 3x3 state")
     u = dressed_state_matrix()
     if target is Basis.DRESSED:
         m = u.conj().T @ rho.matrix @ u
@@ -313,16 +309,13 @@ def build_liouvillian(kind: ModelKind, params: PhysicalParams) -> Liouvillian:
 
 
 def ground_state_probability(rho: DensityMatrix):
-    """Probability of finding the atom in |g>, in either 3-level basis.
+    """Probability of finding the atom in |g>, in either basis.
 
     A float for one state, an array with one value per member of a stack.
     """
     m = rho.matrix
     if rho.basis is Basis.BARE:
         p = 1.0 - m[..., 0, 0].real
-    elif rho.basis is Basis.DRESSED:
-        # <e,0|rho|e,0> = (r++ + r-- - r+- - r-+)/2
+    else:   # DRESSED: <e,0|rho|e,0> = (r++ + r-- - r+- - r-+)/2
         p = 1.0 - 0.5 * (m[..., 0, 0].real + m[..., 1, 1].real) + m[..., 0, 1].real
-    else:
-        raise ValidationError("ground_state_probability expects a 3-level state")
     return float(p) if m.ndim == 2 else p

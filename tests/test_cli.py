@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import errno
 import importlib
@@ -17,6 +18,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rabicav
 from rabicav import closed_form as cf
@@ -455,7 +458,9 @@ def test_cli_import_leaves_acceptance_unloaded():
     src = os.path.dirname(os.path.dirname(rabicav.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = "import sys, rabicav.cli; sys.exit('rabicav.acceptance' in sys.modules)"
+    # verify and davies-check import these when they run; nothing else does
+    code = ("import sys, rabicav.cli; "
+            "sys.exit(sorted({'rabicav.acceptance', 'rabicav.davies'} & sys.modules.keys()) or None)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
 
@@ -901,6 +906,20 @@ def test_simulate_checks_the_profile_before_any_state(monkeypatch, capsys):
     (("simulate", "--model", "phenom-t0", "--gamma", "1e300"), "gamma = 1e+300 is too large"),
     (("simulate", "--g", "1e308", "--gamma3", "1"), "the open-cavity generator overflows"),
     (("entangle", "--g", "1e308", "--gamma3", "1"), "the open-cavity generator overflows"),
+    (("simulate", "--model", "phenom-t", "--g", "1e300"),
+     "g = 1e+300 is too large: the n-step propagator overflows"),
+    (("simulate", "--model", "phenom-t", "--g", "1e300", "--profile", "gaussian"),
+     "g = 1e+300 is too large: the n-step propagator overflows"),
+    (("simulate", "--model", "phenom-t", "--gamma", "1.7e308"),
+     "the rates are too large: the n-step propagator overflows"),
+    (("simulate", "--model", "microscopic", "--g", "1.7e308"),
+     "g = 1.7e+308 is too large: the phase 2 g t overflows"),
+    (("simulate", "--model", "open-cavity", "--g", "1.7e308"),
+     "g = 1.7e+308 is too large: the phase 2 g t overflows"),
+    (("simulate", "--model", "open-cavity", "--g", "1.7e308", "--profile", "gaussian"),
+     "g = 1.7e+308 is too large: the phase 2 g t overflows"),
+    (("simulate", "--model", "phenom-t0", "--g", "1e300"),
+     "g = 1e+300 is too large: the closed form overflows"),
 ])
 def test_extreme_rates_are_validation_errors(tmp_path, argv, message, capsys):
     out = tmp_path / "out.csv"
@@ -1049,3 +1068,32 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+_NUMERIC_FIELDS = ("omega0", "g", "temperature", "eps", "gamma", "gamma_up", "gamma1",
+                   "gamma2", "gamma3", "waist_mm", "diameter_mm", "delta_t_us")
+_EXTREMES = (0.0, -1.0, 5e-324, 1e-320, 1e-300, 1e-12, 1e-6, 1.0, 1e3, 1e6, 1e12, 1e300, 1.7e308)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(("simulate", "energy", "entangle", "fit-q", "davies-check")),
+       model=st.sampled_from(("phenom-t0", "phenom-t", "microscopic", "open-cavity")),
+       profile=st.sampled_from(("constant", "gaussian")),
+       nstep=st.sampled_from((1, 3, 37)),
+       values=st.dictionaries(st.sampled_from(_NUMERIC_FIELDS), st.sampled_from(_EXTREMES),
+                              min_size=1, max_size=4))
+def test_any_numeric_input_ends_in_an_exit_code(command, model, profile, nstep, values):
+    # warnings are not errors here; test_extreme_rates_are_validation_errors
+    # pins the inputs that must end without one
+    argv = [command, f"--model={model}", f"--profile={profile}", f"--nstep={nstep}",
+            "--end-us=5", "--step-us=1"]
+    argv += [f"--{name.replace('_', '-')}={value!r}" for name, value in values.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_VALIDATION, cli.EXIT_NOCONVERGE)
+    if code == cli.EXIT_VALIDATION and command == "davies-check" and not errors:
+        assert out.getvalue().endswith("FAIL\n")   # the verdict, not an error
+    else:
+        assert len(errors) == (code != cli.EXIT_OK), (argv, err.getvalue())

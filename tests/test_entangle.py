@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabicav import closed_form as cf
 from rabicav import entangle, evolve, models
 from rabicav.core import Basis, DensityMatrix, ValidationError, hermitian_eigen, partial_transpose
+from conftest import random_density
 
 
 def _bare_state(rates, eps, params, t, geometry=None):
@@ -33,30 +36,40 @@ def coherence_formula(gamma1: float, gamma2: float, gamma3: float,
     return complex(re, im)
 
 
-def test_embed4_ground_state():
+def _brute_spectrum(rho3: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of the partial transpose of a 3-level bare
+    state embedded, with an empty |e,1> level, in the 4x4 product space."""
+    m4 = np.zeros((4, 4), dtype=complex)
+    m4[1:, 1:] = rho3
+    return hermitian_eigen(partial_transpose(m4))[0]
+
+
+def _dense_state(seed: int = 5) -> np.ndarray:
+    # a 3-level state with |g,0> coherences, outside the closed form's pattern
+    return random_density(np.random.default_rng(seed), 3)
+
+
+def test_ppt_spectrum_of_the_ground_state():
     rho3 = DensityMatrix(np.diag([0.0, 0.0, 1.0]).astype(complex), Basis.BARE)
-    rho4 = entangle.embed4(rho3)
-    assert np.array_equal(rho4.matrix, np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex))
+    assert np.array_equal(entangle.ppt_spectrum(rho3), [0.0, 0.0, 1.0, 0.0])
 
 
-def test_embed4_initial_state_block(params, paper_rates):
-    rho4 = entangle.embed4(_bare_state(paper_rates, 0.0466, params, 0.0))
-    m = rho4.matrix
-    assert m[1, 1] == pytest.approx(1.0, abs=1e-12)       # |e,0> population
-    assert m[3, 3] == pytest.approx(0.0, abs=1e-12)       # |g,0> empty at t = 0
-    assert np.max(np.abs(m[0, :])) == 0.0                 # |e,1> row zero
-    assert complex(np.trace(m)) == pytest.approx(1.0, abs=1e-12)
+def test_ppt_spectrum_of_the_initial_state(params, paper_rates):
+    spec = entangle.ppt_spectrum(_bare_state(paper_rates, 0.0466, params, 0.0))
+    assert spec[1] == pytest.approx(1.0, abs=1e-12)       # |e,0> population
+    assert spec[2] == pytest.approx(0.0, abs=1e-12)       # |g,0> empty at t = 0
+    assert spec[0] == pytest.approx(0.0, abs=1e-12)       # |g,1> empty at t = 0
+    assert math.fsum(spec) == pytest.approx(1.0, abs=1e-12)   # |e,1> adds nothing
 
 
-def test_embed4_rejects_dressed_input(params, paper_rates):
+def test_ppt_spectrum_rejects_dressed_input(params, paper_rates):
     rho_d = cf.opencavity_rho(paper_rates, 0.0466, params, 0.0)
     with pytest.raises(ValidationError):
-        entangle.embed4(rho_d)
+        entangle.ppt_spectrum(rho_d)
 
 
 def test_ppt_product_state_is_separable(params, paper_rates):
-    rho4 = entangle.embed4(_bare_state(paper_rates, 0.0466, params, 0.0))
-    spec = entangle.ppt_spectrum(rho4)
+    spec = entangle.ppt_spectrum(_bare_state(paper_rates, 0.0466, params, 0.0))
     assert spec[3] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -64,48 +77,54 @@ def test_ppt_lossless_quarter_period(params):
     # all rates zero at t = pi/(4g): maximally entangled in the block
     rates = models.DecayRates()
     t = math.pi / (4.0 * params.g)
-    rho4 = entangle.embed4(_bare_state(rates, 0.0, params, t))
-    spec = entangle.ppt_spectrum(rho4)
+    rho_b = _bare_state(rates, 0.0, params, t)
+    spec = entangle.ppt_spectrum(rho_b)
     assert spec[3] == pytest.approx(-0.5, abs=1e-9)
-    brute, _ = hermitian_eigen(partial_transpose(rho4))
+    brute = _brute_spectrum(rho_b.matrix)
     assert np.max(np.abs(np.sort(np.asarray(spec)) - np.sort(brute))) <= 1e-10
 
 
 def test_ppt_closed_form_matches_brute_force(params, paper_rates):
     for t in (7e-6, 31e-6, 80e-6):
-        rho4 = entangle.embed4(_bare_state(paper_rates, 0.0466, params, t))
-        spec = entangle.ppt_spectrum(rho4)
-        brute, _ = hermitian_eigen(partial_transpose(rho4))
+        rho_b = _bare_state(paper_rates, 0.0466, params, t)
+        spec = entangle.ppt_spectrum(rho_b)
+        brute = _brute_spectrum(rho_b.matrix)
         assert np.max(np.abs(np.sort(np.asarray(spec)) - np.sort(brute))) <= 1e-10
         assert spec[3] <= 1e-12
 
 
 def test_ppt_dense_input_falls_back_to_eigensolve():
-    # a state outside the embedded sparsity pattern
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    m = a @ a.conj().T
-    m /= np.trace(m).real
-    rho4 = DensityMatrix(m, Basis.BARE4)
-    spec = entangle.ppt_spectrum(rho4)
-    brute, _ = hermitian_eigen(partial_transpose(rho4))
+    m = _dense_state()
+    spec = entangle.ppt_spectrum(DensityMatrix(m, Basis.BARE))
+    brute = _brute_spectrum(m)
     assert np.allclose(spec, brute, atol=1e-12)
     assert all(spec[i] >= spec[i + 1] for i in range(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), pattern=st.booleans())
+def test_ppt_spectrum_matches_the_raw_partial_transpose(seed, pattern):
+    m = _dense_state(seed)
+    if pattern:   # only the |e,0>/|g,1> block and the |g,0> population
+        m[:2, 2] = m[2, :2] = 0.0
+    spec = entangle.ppt_spectrum(DensityMatrix(m, Basis.BARE))
+    m4 = np.zeros((4, 4), dtype=complex)
+    m4[1:, 1:] = m
+    brute = np.linalg.eigvalsh(partial_transpose(m4))
+    assert np.max(np.abs(np.sort(spec) - brute)) <= 1e-12
 
 
 def test_ppt_witness_tracks_coherence(params, paper_rates):
     # lambda4 = 0 exactly when the |e,0><g,1| coherence vanishes
     for t in (5e-6, 40e-6):
         rho_b = _bare_state(paper_rates, 0.0466, params, t)
-        rho4 = entangle.embed4(rho_b)
-        spec = entangle.ppt_spectrum(rho4)
+        spec = entangle.ppt_spectrum(rho_b)
         coh = abs(rho_b.matrix[0, 1])
         if coh > 1e-6:
             assert spec[3] < 0.0
         stripped = rho_b.matrix.copy()
         stripped[0, 1] = stripped[1, 0] = 0.0
-        spec0 = entangle.ppt_spectrum(entangle.embed4(
-            DensityMatrix(stripped, Basis.BARE)))
+        spec0 = entangle.ppt_spectrum(DensityMatrix(stripped, Basis.BARE))
         assert spec0[3] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -166,26 +185,23 @@ def test_stacked_helpers_equal_per_member_calls(params, paper_rates, geometry):
     ts = np.linspace(0.0, 80e-6, 41)
     rho_d = cf.opencavity_rho(paper_rates, 0.0466, params, ts, geometry=geometry)
     rho_b = models.dressed_transform(rho_d, Basis.BARE)
-    spec = entangle.ppt_spectrum(entangle.embed4(rho_b))
+    spec = entangle.ppt_spectrum(rho_b)
     assert spec.shape == (len(ts), 4)
     for i, t in enumerate(ts):
         one_d = cf.opencavity_rho(paper_rates, 0.0466, params, t, geometry=geometry)
         one_b = models.dressed_transform(one_d, Basis.BARE)
         assert rho_b.matrix[i].tobytes() == one_b.matrix.tobytes()
-        assert spec[i].tobytes() == entangle.ppt_spectrum(entangle.embed4(one_b)).tobytes()
+        assert spec[i].tobytes() == entangle.ppt_spectrum(one_b).tobytes()
         assert models.ground_state_probability(rho_d)[i] == models.ground_state_probability(one_d)
         assert models.ground_state_probability(rho_b)[i] == models.ground_state_probability(one_b)
 
 
 def test_ppt_stack_with_a_dense_member():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    dense = a @ a.conj().T
-    dense /= np.trace(dense).real
-    sparse = np.diag([0.0, 0.5, 0.2, 0.3]).astype(complex)
-    sparse[1, 2], sparse[2, 1] = 0.1j, -0.1j
-    spec = entangle.ppt_spectrum(DensityMatrix(np.stack([sparse, dense]), Basis.BARE4))
+    dense = _dense_state()
+    sparse = np.diag([0.5, 0.2, 0.3]).astype(complex)
+    sparse[0, 1], sparse[1, 0] = 0.1j, -0.1j
+    spec = entangle.ppt_spectrum(DensityMatrix(np.stack([sparse, dense]), Basis.BARE))
     for row, m in zip(spec, (sparse, dense)):
-        assert row.tobytes() == entangle.ppt_spectrum(DensityMatrix(m, Basis.BARE4)).tobytes()
-    brute, _ = hermitian_eigen(partial_transpose(dense))
+        assert row.tobytes() == entangle.ppt_spectrum(DensityMatrix(m, Basis.BARE)).tobytes()
+    brute = _brute_spectrum(dense)
     assert np.allclose(spec[1], brute, atol=1e-12)

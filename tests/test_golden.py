@@ -122,7 +122,7 @@ def _entangle_columns(columns):
     bare = u @ m @ u.conj().T
     rho4 = np.zeros((len(columns), 4, 4), dtype=complex)
     rho4[:, 1:, 1:] = bare
-    spectrum = np.linalg.eigvalsh([partial_transpose(r) for r in rho4])
+    spectrum = np.linalg.eigvalsh(partial_transpose(rho4))
     return np.column_stack([spectrum, bare[:, 0, 1].real, bare[:, 0, 1].imag])
 
 
