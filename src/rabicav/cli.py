@@ -205,10 +205,11 @@ def _worker_start(n: int) -> int:
 
 def _write_blocks(fh, lines: list[str], rows: np.ndarray) -> None:
     """Write ``lines`` (the header, or none) and then ``rows`` to ``fh``, one
-    block of :data:`~rabicav.core.BLOCK` rows per write, with ``repr`` per value."""
+    block of :data:`~rabicav.core.BLOCK` rows per write, each value as its
+    ``repr`` (:func:`rabicav.csvtext.block_text` formats the block)."""
+    from .csvtext import block_text
     for block in blocks(rows):
-        columns = (map(repr, col) for col in block.T.tolist())
-        fh.write("\n".join([*lines, *map(",".join, zip(*columns))]) + "\n")
+        fh.write("".join(line + "\n" for line in lines) + block_text(block))
         lines = []
 
 
@@ -262,10 +263,13 @@ def _write_table(fh, header: list[str], rows: np.ndarray) -> None:
 def write_csv(path: str | None, header: list[str], rows: np.ndarray) -> None:
     """Write a table of floats, one column per header field, as CSV.
 
-    Values are written as their shortest round-trip decimals (``repr``, as
-    :func:`fmt` does), formatted column by column.  The text is formatted and
-    written in blocks of :data:`~rabicav.core.BLOCK` rows (the header goes with
-    the first), so memory does not grow with the size of the CSV.  A table of
+    Values are written as their shortest round-trip decimals, the text
+    ``repr`` gives each (as :func:`fmt` does):
+    :func:`rabicav.csvtext.block_text` computes it for a block at a time with
+    numpy, and hands each value its arithmetic cannot settle to ``repr``
+    itself.  The text is formatted and written in blocks of
+    :data:`~rabicav.core.BLOCK` rows (the header goes with the first), so
+    memory does not grow with the size of the CSV.  A table of
     more than one block is formatted on two CPUs when there are two: a forked
     worker formats the second half while this process formats the first, and
     the same block formatter gives the same bytes as one process would.  A

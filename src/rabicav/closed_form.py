@@ -121,10 +121,11 @@ class ExpSum:
             if not delta_t:
                 mod, phase = np.exp(z.real * ts), (z.imag * ts if w else None)
             elif not w:
-                mod, phase = np.exp(t_dt * -math.log1p(a * delta_t)), None
+                mod, phase = np.exp(t_dt * -_smeared_log(a * delta_t, delta_t)), None
             else:
                 # log|1 - z dt|^2 and -arg(1 - z dt)
-                log_mod = math.log1p(2.0 * a * delta_t + (a * a + w * w) * delta_t * delta_t)
+                log_mod = _smeared_log(2.0 * a * delta_t + (a * a + w * w) * delta_t * delta_t,
+                                       delta_t)
                 mod = np.exp(t_dt * (-0.5 * log_mod))
                 phase = t_dt * math.atan2(w * delta_t, 1.0 + a * delta_t)
             if phase is not None:
@@ -180,6 +181,15 @@ def _spread(delta_t: float) -> float:
     if not 0 <= delta_t < math.inf:   # a NaN fails too
         raise ValidationError("delta_t must be >= 0 and finite")
     return delta_t
+
+
+def _smeared_log(x: float, delta_t: float) -> float:
+    """log1p(x) for a smeared exponent; a ValidationError naming delta_t if it overflows."""
+    y = math.log1p(x)
+    if y == math.inf:
+        raise ValidationError(
+            f"delta_t = {delta_t!r} is too large: the smeared exponent overflows")
+    return y
 
 
 def _dphi_ddelta_t(z: complex, delta_t: float) -> complex:

@@ -77,7 +77,15 @@ def _ladder(n_max: int, params: PhysicalParams):
 
     Bare states: (g,n) for n = 0..n_max and (e,n) for n = 0..n_max-1.
     Dressed column order: O1+, O1-, O0, O2+, O2-, ..., On_max+, On_max-.
+    A ValidationError names omega0 or g when the energies would overflow.
+    Every Bohr frequency is at most n_max omega0 + 2 g sqrt(n_max); four
+    times that bound must be finite, room for the commutation defect, three
+    such frequencies times a coupling entry at alpha = beta = 1.
     """
+    top = 4.0 * n_max * params.omega0
+    if top == math.inf or top + 8.0 * params.g * math.sqrt(n_max) == math.inf:
+        name, value = ("omega0", params.omega0) if top == math.inf else ("g", params.g)
+        raise ValidationError(f"{name} = {value!r} is too large: the ladder energies overflow")
     g_idx = {n: n for n in range(n_max + 1)}
     e_idx = {n: n_max + 1 + n for n in range(n_max)}
     dim = 2 * n_max + 1

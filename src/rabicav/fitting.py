@@ -359,10 +359,13 @@ def fit_q(times: np.ndarray, omega_bar: np.ndarray, eps: float,
     amplitude = params.omega0 / (2.0 * eps + 1.0)
 
     def slopes(p: Mapping[str, float], ts: np.ndarray):
-        exponent = -params.omega0 * ts / p["q"]
+        q = p["q"]
+        if not 0.0 < q < math.inf:   # no model there: a cost the fit rejects
+            return np.full(ts.shape, math.inf), np.zeros((1, ts.size))
+        exponent = -params.omega0 * ts / q
         decay = amplitude * np.exp(exponent)
         # d/dq of exp(-omega0 t/q) is exp(-omega0 t/q) * omega0 t/q^2
-        return offset + decay, (decay * (-exponent / p["q"]))[None]
+        return offset + decay, (decay * (-exponent / q))[None]
 
     # Decay-rate initial guess from the endpoint ratio.
     ratio = (y[-1] - offset) / (y[0] - offset)

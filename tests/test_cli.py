@@ -458,9 +458,10 @@ def test_cli_import_leaves_acceptance_unloaded():
     src = os.path.dirname(os.path.dirname(rabicav.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    # verify and davies-check import these when they run; nothing else does
-    code = ("import sys, rabicav.cli; "
-            "sys.exit(sorted({'rabicav.acceptance', 'rabicav.davies'} & sys.modules.keys()) or None)")
+    # verify and davies-check import these when they run, and the CSV writer
+    # imports csvtext; nothing else does
+    code = ("import sys, rabicav.cli; sys.exit(sorted({'rabicav.acceptance', "
+            "'rabicav.davies', 'rabicav.csvtext'} & sys.modules.keys()) or None)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
 
@@ -920,6 +921,9 @@ def test_simulate_checks_the_profile_before_any_state(monkeypatch, capsys):
      "g = 1.7e+308 is too large: the phase 2 g t overflows"),
     (("simulate", "--model", "phenom-t0", "--g", "1e300"),
      "g = 1e+300 is too large: the closed form overflows"),
+    (("energy", "--gamma2", "1e6", "--delta-t-us", "1.7e308", "--omega0", "1e-12",
+      "--eps", "1e12", "--step-us", "1"),
+     "delta_t = 1.6999999999999999e+302 is too large: the smeared exponent overflows"),
 ])
 def test_extreme_rates_are_validation_errors(tmp_path, argv, message, capsys):
     out = tmp_path / "out.csv"
@@ -990,6 +994,29 @@ def test_davies_check_rejects_overflowing_weights(capsys):
         warnings.simplefilter("error")
         assert run_cli("davies-check", "--alpha", "1e-160") == cli.EXIT_VALIDATION
     assert capsys.readouterr().err == "error: spectral weights must be finite and >= 0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--omega0", "1.7e308", "--gamma3", "1.7e308"), "omega0 = 1.7e+308 is too large"),
+    (("--omega0", "1e308"), "omega0 = 1e+308 is too large"),
+    (("--g", "1.7e308"), "g = 1.7e+308 is too large"),
+])
+def test_davies_check_rejects_overflowing_ladder_energies(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy warning would print more lines
+        assert run_cli("davies-check", *argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}: the ladder energies overflow\n"
+
+
+def test_fit_q_keeps_a_zero_q_out_of_the_model(capsys):
+    # the fit steps onto its bound q = 0, where the model divided by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("fit-q", "--gamma1", "1e6", "--omega0", "1000", "--temperature",
+                       "5e-324", "--gamma2", "1e-12", "--end-us", "5", "--step-us", "1") == 0
+    assert capsys.readouterr().out == (
+        "Q = 3.0923788452881674e-05 (true time)\n"
+        "gamma(Q) via the true-time identity = 59161295.976978846\n")
 
 
 def test_grid_never_passes_end_us(tmp_path):
